@@ -1,89 +1,13 @@
 #include "bcc/harness.hpp"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 #include "bcc/process.hpp"
 #include "common/check.hpp"
-#include "common/rng.hpp"
-#include "core/harness.hpp"
-#include "geometry/polytope.hpp"
-#include "net/faulty_link.hpp"
-#include "net/reliable_channel.hpp"
 #include "sim/adversary.hpp"
 
 namespace chc::bcc {
-
-core::Workload make_byz_workload(std::size_t n, std::size_t d,
-                                 core::InputPattern pattern,
-                                 std::uint64_t seed,
-                                 const std::vector<sim::ProcessId>& faulty) {
-  CHC_CHECK(faulty.size() < n, "need at least one correct process");
-  CHC_CHECK(d >= 1, "dimension must be >= 1");
-  Rng rng(seed);
-
-  core::Workload w;
-  w.inputs.resize(n);
-  w.faulty = faulty;
-  std::sort(w.faulty.begin(), w.faulty.end());
-  std::vector<bool> is_faulty(n, false);
-  for (const sim::ProcessId p : w.faulty) {
-    CHC_CHECK(p < n, "faulty id out of range");
-    CHC_CHECK(!is_faulty[p], "duplicate faulty id");
-    is_faulty[p] = true;
-  }
-
-  // Same pattern layouts as core::make_workload, with the explicit set.
-  geo::Vec line_dir(d, 0.0), identical(d, 0.0);
-  for (std::size_t c = 0; c < d; ++c) {
-    line_dir[c] = rng.uniform(-1, 1);
-    identical[c] = rng.uniform(-1, 1);
-  }
-  if (line_dir.norm() < 1e-6) line_dir[0] = 1.0;
-  line_dir *= 1.0 / line_dir.norm();
-
-  for (sim::ProcessId p = 0; p < n; ++p) {
-    if (is_faulty[p]) continue;
-    geo::Vec x(d, 0.0);
-    switch (pattern) {
-      case core::InputPattern::kUniform:
-        for (std::size_t c = 0; c < d; ++c) x[c] = rng.uniform(-1, 1);
-        break;
-      case core::InputPattern::kClustered: {
-        const double center = rng.bernoulli(0.5) ? 0.6 : -0.6;
-        for (std::size_t c = 0; c < d; ++c) {
-          x[c] = center + rng.uniform(-0.05, 0.05);
-        }
-        break;
-      }
-      case core::InputPattern::kCollinear:
-        x = line_dir * rng.uniform(-1, 1);
-        break;
-      case core::InputPattern::kIdentical:
-        x = identical;
-        break;
-    }
-    w.inputs[p] = x;
-  }
-  for (const sim::ProcessId p : w.faulty) {
-    geo::Vec x(d, 0.0);
-    for (std::size_t c = 0; c < d; ++c) {
-      const double sign = rng.bernoulli(0.5) ? 1.0 : -1.0;
-      x[c] = sign * rng.uniform(1.5, 2.0);
-    }
-    w.inputs[p] = x;
-  }
-
-  w.correct_magnitude = 1e-9;
-  for (sim::ProcessId p = 0; p < n; ++p) {
-    if (!is_faulty[p]) {
-      w.correct_magnitude = std::max(w.correct_magnitude, w.inputs[p].max_abs());
-    }
-  }
-  w.correct_magnitude = std::max(w.correct_magnitude, 0.1);
-  return w;
-}
 
 obs::TraceHeader make_byz_trace_header(const ByzRunConfig& bc,
                                        const core::CCConfig& effective,
@@ -115,15 +39,11 @@ core::LossyRunOutput run_bcc_custom(const ByzRunConfig& bc,
   CHC_CHECK(bc.allow_below_bound || rc.cc.n >= 3 * rc.cc.f + 1,
             "BCC needs n >= 3f + 1 (set allow_below_bound to experiment)");
 
-  core::LossyRunOutput out;
-  out.workload = workload;
-
   core::CCConfig cfg = rc.cc;
   cfg.input_magnitude =
       std::max(rc.cc.input_magnitude, workload.correct_magnitude);
 
-  const bool tracing = bc.lossy.tracer != nullptr && bc.lossy.tracer->enabled();
-  if (tracing) {
+  if (bc.lossy.tracer != nullptr && bc.lossy.tracer->enabled()) {
     bc.lossy.tracer->line(to_jsonl(make_byz_trace_header(bc, cfg, workload)));
   }
 
@@ -134,133 +54,43 @@ core::LossyRunOutput run_bcc_custom(const ByzRunConfig& bc,
                                          : sim::CrashSchedule{};
   CHC_CHECK(!crashes.any_recovery(),
             "BCC does not model crash-recover incarnations");
-  std::unique_ptr<sim::DelayModel> delay =
-      core::make_delay_model(rc.delay, workload.faulty, cfg.n);
-  if (!bc.lossy.storms.empty()) {
-    delay = std::make_unique<sim::StormDelay>(std::move(delay), bc.lossy.storms);
-  }
 
-  sim::Simulation sim(cfg.n, rc.seed, std::move(delay), crashes);
-  if (!bc.lossy.schedule.empty()) {
-    sim.set_fault_model(
-        std::make_unique<net::FaultyLinkModel>(bc.lossy.schedule));
-  } else if (bc.lossy.policy.enabled()) {
-    sim.set_fault_model(std::make_unique<net::FaultyLinkModel>(bc.lossy.policy));
-  }
-  sim.set_tracer(bc.lossy.tracer);
-  sim.set_metrics(bc.lossy.metrics);
-
-  out.trace = std::make_unique<core::TraceCollector>(cfg.n, bc.lossy.tracer);
   ByzCCProcess::Options popts;
   popts.allow_below_bound = bc.allow_below_bound;
   std::vector<const ByzCCProcess*> honest(cfg.n, nullptr);
-  std::vector<net::ReliableChannel*> shims(cfg.n, nullptr);
-  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
-    const auto bit = bc.behaviors.find(p);
-    std::unique_ptr<sim::Process> proc;
-    if (bit != bc.behaviors.end()) {
-      // Byzantine: honest machine + send interceptor, no trace of its own.
-      auto inner = std::make_unique<ByzCCProcess>(cfg, workload.inputs[p],
-                                                  nullptr, popts);
-      proc = std::make_unique<sim::AdversarialProcess>(
-          std::move(inner),
-          make_behavior(bit->second, cfg.n, cfg.d, p, bc.lossy.tracer));
-    } else {
-      auto inner = std::make_unique<ByzCCProcess>(cfg, workload.inputs[p],
-                                                  out.trace.get(), popts);
-      honest[p] = inner.get();
-      proc = std::move(inner);
-    }
-    if (bc.lossy.reliable) {
-      auto shim = std::make_unique<net::ReliableChannel>(
-          std::move(proc), bc.lossy.rel, bc.lossy.tracer);
-      shims[p] = shim.get();
-      sim.add_process(std::move(shim));
-    } else {
-      sim.add_process(std::move(proc));
-    }
-  }
+  core::LossyRunOutput out = core::simulate(
+      bc.lossy, workload, crashes,
+      [&](sim::ProcessId p,
+          core::TraceCollector& trace) -> std::unique_ptr<sim::Process> {
+        const auto bit = bc.behaviors.find(p);
+        if (bit == bc.behaviors.end()) {
+          auto proc = std::make_unique<ByzCCProcess>(cfg, workload.inputs[p],
+                                                     &trace, popts);
+          honest[p] = proc.get();
+          return proc;
+        }
+        // Byzantine: honest machine + send interceptor, no trace of its own.
+        auto inner = std::make_unique<ByzCCProcess>(cfg, workload.inputs[p],
+                                                    nullptr, popts);
+        return std::make_unique<sim::AdversarialProcess>(
+            std::move(inner),
+            make_behavior(bit->second, cfg.n, cfg.d, p, bc.lossy.tracer));
+      },
+      [&](obs::Registry& m, const core::LossyRunOutput& o) {
+        std::uint64_t rejected = 0;
+        for (const ByzCCProcess* h : honest) {
+          if (h != nullptr) rejected += h->rejected();
+        }
+        m.counter("bcc.decided").inc(o.trace->decided().size());
+        m.counter("bcc.rejected").inc(rejected);
+        m.gauge("bcc.max_round").set(static_cast<double>(o.trace->max_round()));
+      });
 
-  const sim::RunResult rr = sim.run(bc.lossy.max_events);
-  out.quiescent = rr.quiescent;
-  out.stats = rr.stats;
-  for (const net::ReliableChannel* shim : shims) {
-    if (shim != nullptr) out.shims += shim->stats();
-  }
-  out.stats.retransmits = out.shims.retransmits;
-  out.stats.retransmit_by_tag = out.shims.retransmit_by_tag;
-
-  if (tracing) {
-    obs::TraceFooter footer;
-    footer.quiescent = out.quiescent;
-    footer.decided = out.trace->decided().size();
-    bc.lossy.tracer->line(to_jsonl(footer));
-  }
-
-  std::uint64_t rejected = 0;
-  for (const ByzCCProcess* h : honest) {
-    if (h != nullptr) rejected += h->rejected();
-  }
-  if (bc.lossy.metrics != nullptr) {
-    obs::Registry& m = *bc.lossy.metrics;
-    m.counter("sim.messages_sent").inc(out.stats.messages_sent);
-    m.counter("sim.messages_delivered").inc(out.stats.messages_delivered);
-    m.counter("net.dropped").inc(out.stats.net_dropped);
-    m.counter("net.duplicated").inc(out.stats.net_duplicated);
-    m.counter("net.retransmits").inc(out.stats.retransmits);
-    m.counter("bcc.decided").inc(out.trace->decided().size());
-    m.counter("bcc.rejected").inc(rejected);
-    m.gauge("bcc.max_round").set(static_cast<double>(out.trace->max_round()));
-    m.gauge("sim.end_time").set(out.stats.end_time);
-  }
-
-  const std::set<sim::ProcessId> faulty(workload.faulty.begin(),
-                                        workload.faulty.end());
-  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
-    if (faulty.count(p) == 0) {
-      out.correct.push_back(p);
-      out.correct_inputs.push_back(workload.inputs[p]);
-    }
-  }
-
-  // BCC's own certificate: decision / validity / ε-agreement over the
-  // fault-free processes. The crash-specific I_Z floor does not apply.
-  core::Certificate cert;
-  cert.rounds = out.trace->max_round();
-  cert.all_decided = true;
-  std::vector<geo::Polytope> outputs;
-  for (const sim::ProcessId p : out.correct) {
-    const auto& d = out.trace->of(p).decision;
-    if (!d.has_value()) {
-      cert.all_decided = false;
-      continue;
-    }
-    outputs.push_back(*d);
-  }
-  if (!outputs.empty()) {
-    const geo::Polytope correct_hull =
-        geo::Polytope::from_points(out.correct_inputs);
-    cert.correct_hull_measure = correct_hull.measure();
-    cert.validity = true;
-    for (const geo::Polytope& o : outputs) {
-      if (!correct_hull.contains(o, 1e-6)) cert.validity = false;
-    }
-    cert.max_pairwise_hausdorff = 0.0;
-    for (std::size_t a = 0; a < outputs.size(); ++a) {
-      for (std::size_t b = a + 1; b < outputs.size(); ++b) {
-        cert.max_pairwise_hausdorff = std::max(
-            cert.max_pairwise_hausdorff, geo::hausdorff(outputs[a], outputs[b]));
-      }
-    }
-    cert.agreement = cert.max_pairwise_hausdorff < cfg.eps + 1e-6;
-    cert.min_output_measure = outputs[0].measure();
-    cert.max_output_measure = outputs[0].measure();
-    for (const geo::Polytope& o : outputs) {
-      cert.min_output_measure = std::min(cert.min_output_measure, o.measure());
-      cert.max_output_measure = std::max(cert.max_output_measure, o.measure());
-    }
-  }
-  out.cert = cert;
+  // The crash-specific I_Z floor does not apply: BCC's certificate is the
+  // shared decision / validity / ε-agreement half over the fault-free
+  // processes.
+  out.cert = core::certify_outputs(*out.trace, out.correct,
+                                   out.correct_inputs, cfg.eps);
   return out;
 }
 
@@ -268,9 +98,11 @@ core::LossyRunOutput run_bcc(const ByzRunConfig& bc) {
   std::vector<sim::ProcessId> faulty;
   faulty.reserve(bc.behaviors.size());
   for (const auto& [p, spec] : bc.behaviors) faulty.push_back(p);
+  // The Byzantine set is explicit; each Byzantine process's honest state
+  // machine still needs an input, and it gets an outlier.
   const core::Workload workload =
-      make_byz_workload(bc.lossy.base.cc.n, bc.lossy.base.cc.d,
-                        bc.lossy.base.pattern, bc.lossy.base.seed, faulty);
+      core::make_workload(bc.lossy.base.cc.n, bc.lossy.base.cc.d,
+                          bc.lossy.base.pattern, bc.lossy.base.seed, faulty);
   return run_bcc_custom(bc, workload);
 }
 

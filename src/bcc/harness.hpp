@@ -1,20 +1,20 @@
 // Byzantine convex consensus harness: one complete BCC execution over the
 // simulator, certified and (optionally) traced.
 //
-// Mirrors core::run_cc_lossy_custom for the Byzantine protocol: the same
-// LossyRunConfig carries network policy / delay regime / tracer, and a
-// behavior map designates which processes are Byzantine and how they
-// misbehave. Each Byzantine process is an honest ByzCCProcess wrapped in
-// sim::AdversarialProcess (it records no trace of its own — its claimed
-// states exist only inside correct receivers). The emitted trace header
-// sets protocol = "bcc" and lists the behavior assignments, so the run is
-// replayable by bcc/replay.hpp and checkable by obs::TraceChecker's
+// Runs through core::simulate, the simulator assembly the crash harness
+// uses: the same LossyRunConfig carries network policy / delay regime /
+// tracer, and a behavior map designates which processes are Byzantine and
+// how they misbehave. Each Byzantine process is an honest ByzCCProcess
+// wrapped in sim::AdversarialProcess (it records no trace of its own — its
+// claimed states exist only inside correct receivers). The emitted trace
+// header sets protocol = "bcc" and lists the behavior assignments, so the
+// run is replayable by bcc/replay.hpp and checkable by obs::TraceChecker's
 // Byzantine mode.
 //
-// The returned Certificate is BCC's own: all_decided / validity /
-// ε-agreement are evaluated over the fault-free processes exactly as in
-// the crash harness, but the I_Z optimality floor is crash-specific and is
-// left unset (optimality = false, iz_measure = 0).
+// The returned Certificate is core::certify_outputs: all_decided /
+// validity / ε-agreement over the fault-free processes exactly as in the
+// crash harness. The I_Z optimality floor is crash-specific and is left
+// unset (optimality = false, iz_measure = 0).
 #pragma once
 
 #include <cstdint>
@@ -40,16 +40,6 @@ struct ByzRunConfig {
   bool allow_below_bound = false;
 };
 
-/// Workload with an *explicit* Byzantine set: correct processes draw from
-/// `pattern` exactly as core::make_workload, the listed faulty processes
-/// get outlier inputs (the underlying honest state machine of a Byzantine
-/// process still needs an input; forging behaviors may replace it on the
-/// wire anyway).
-core::Workload make_byz_workload(std::size_t n, std::size_t d,
-                                 core::InputPattern pattern,
-                                 std::uint64_t seed,
-                                 const std::vector<sim::ProcessId>& faulty);
-
 /// The CC header for this configuration plus protocol = "bcc" and the
 /// behavior list — everything bcc::replay needs to re-execute the run.
 obs::TraceHeader make_byz_trace_header(const ByzRunConfig& bc,
@@ -61,8 +51,9 @@ obs::TraceHeader make_byz_trace_header(const ByzRunConfig& bc,
 core::LossyRunOutput run_bcc_custom(const ByzRunConfig& bc,
                                     const core::Workload& workload);
 
-/// Same, generating the workload from bc.lossy.base (pattern/seed) with
-/// bc.behaviors' keys as the faulty set.
+/// Same, generating the workload with core::make_workload's explicit-set
+/// form from bc.lossy.base (pattern/seed) with bc.behaviors' keys as the
+/// faulty set.
 core::LossyRunOutput run_bcc(const ByzRunConfig& bc);
 
 }  // namespace chc::bcc

@@ -1,7 +1,6 @@
 #include "bcc/replay.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 #include <utility>
 
@@ -12,6 +11,16 @@ namespace {
 bool fail(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
   return false;
+}
+
+bool rerun_bcc(const obs::TraceHeader& header, obs::Tracer& tracer,
+               std::string* error) {
+  ByzRunConfig bc;
+  core::Workload workload;
+  if (!byz_config_from_header(header, &bc, &workload, error)) return false;
+  bc.lossy.tracer = &tracer;
+  (void)run_bcc_custom(bc, workload);
+  return true;
 }
 
 }  // namespace
@@ -52,65 +61,11 @@ bool byz_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
 }
 
 core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
-  core::ReplayResult r;
-  if (lines.empty()) {
-    r.error = "empty trace";
-    return r;
-  }
-  obs::TraceHeader header;
-  std::string error;
-  if (!obs::parse_header(lines[0], header, &error)) {
-    r.error = "header: " + error;
-    return r;
-  }
-  ByzRunConfig bc;
-  core::Workload workload;
-  if (!byz_config_from_header(header, &bc, &workload, &error)) {
-    r.error = error;
-    return r;
-  }
-
-  obs::MemorySink sink;
-  obs::Tracer tracer(&sink);
-  bc.lossy.tracer = &tracer;
-  (void)run_bcc_custom(bc, workload);
-  r.ran = true;
-
-  const std::vector<std::string> replayed = sink.lines();
-  r.original_lines = lines.size();
-  r.replayed_lines = replayed.size();
-  const std::size_t common = std::min(lines.size(), replayed.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    if (lines[i] != replayed[i]) {
-      r.first_diff_line = i + 1;
-      r.expected = lines[i];
-      r.actual = replayed[i];
-      return r;
-    }
-  }
-  if (lines.size() != replayed.size()) {
-    r.first_diff_line = common + 1;
-    if (lines.size() > common) r.expected = lines[common];
-    if (replayed.size() > common) r.actual = replayed[common];
-    return r;
-  }
-  r.identical = true;
-  return r;
+  return core::replay_lines(lines, rerun_bcc);
 }
 
 core::ReplayResult replay_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    core::ReplayResult r;
-    r.error = "cannot open " + path;
-    return r;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return replay_trace_lines(lines);
+  return core::replay_file(path, rerun_bcc);
 }
 
 }  // namespace chc::bcc

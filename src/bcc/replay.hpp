@@ -24,11 +24,9 @@ namespace chc::bcc {
 bool byz_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
                             core::Workload* w, std::string* error);
 
-/// Re-executes the BCC run described by lines[0] and compares the produced
-/// trace line-for-line against `lines`.
+/// core::replay_lines / core::replay_file with the BCC re-execution
+/// (run_bcc_custom on the configuration byz_config_from_header rebuilds).
 core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines);
-
-/// Reads a JSONL trace file (blank lines ignored) and replays it.
 core::ReplayResult replay_trace_file(const std::string& path);
 
 }  // namespace chc::bcc

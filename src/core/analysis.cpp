@@ -5,6 +5,7 @@
 
 #include "common/check.hpp"
 #include "geometry/ops.hpp"
+#include "obs/checker.hpp"
 
 namespace chc::core {
 
@@ -142,98 +143,98 @@ geo::Polytope compute_iz(const TraceCollector& trace,
                          const std::vector<sim::ProcessId>& procs,
                          std::size_t f, double rel_tol) {
   CHC_CHECK(!procs.empty(), "need at least one process for Z");
-  // Z := ∩ R_i. Views are containment-ordered (stable vector), so the
-  // intersection is the smallest view; intersect explicitly anyway.
-  std::optional<std::set<std::pair<sim::ProcessId, std::vector<double>>>> z;
+  std::vector<obs::View> views;
+  views.reserve(procs.size());
   for (sim::ProcessId p : procs) {
     const auto& view = trace.of(p).round0_view;
     CHC_CHECK(view.has_value(), "process has no recorded round-0 view");
-    std::set<std::pair<sim::ProcessId, std::vector<double>>> entries;
-    for (const auto& [origin, x] : *view) entries.insert({origin, x.coords()});
-    if (!z.has_value()) {
-      z = std::move(entries);
-    } else {
-      std::set<std::pair<sim::ProcessId, std::vector<double>>> inter;
-      std::set_intersection(z->begin(), z->end(), entries.begin(),
-                            entries.end(),
-                            std::inserter(inter, inter.begin()));
-      z = std::move(inter);
-    }
+    views.emplace_back(view->begin(), view->end());
   }
-  std::vector<geo::Vec> xz;
-  xz.reserve(z->size());
-  for (const auto& [origin, coords] : *z) xz.push_back(geo::Vec(coords));
-  if (xz.size() <= f) {
-    // Without the stable vector's Containment property (naive round-0
-    // ablation), the common view Z can shrink below f+1 entries — the
-    // guaranteed region is then vacuous.
-    const auto& any_view = trace.of(procs.front()).round0_view;
-    const std::size_t d = any_view->front().second.dim();
-    return geo::Polytope::empty(d);
-  }
-  return geo::intersection_of_subset_hulls(xz, f, rel_tol);
+  std::vector<const obs::View*> refs;
+  refs.reserve(views.size());
+  for (const obs::View& v : views) refs.push_back(&v);
+  return obs::compute_iz(refs, f, rel_tol);
 }
 
-Certificate certify(const TraceCollector& trace,
-                    const std::vector<sim::ProcessId>& correct,
-                    const std::vector<geo::Vec>& correct_inputs,
-                    const CCConfig& cfg, double check_tol) {
+Certificate certify_outputs(const TraceCollector& trace,
+                            const std::vector<sim::ProcessId>& correct,
+                            const std::vector<geo::Vec>& validity_inputs,
+                            double eps, double check_tol) {
   CHC_CHECK(!correct.empty(), "need at least one correct process");
-  CHC_CHECK(!correct_inputs.empty(), "validity needs at least one input");
+  CHC_CHECK(!validity_inputs.empty(), "validity needs at least one input");
   Certificate cert;
   cert.rounds = trace.max_round();
 
   cert.all_decided = true;
-  std::vector<geo::Polytope> outputs;
+  std::vector<const geo::Polytope*> outputs;
   for (sim::ProcessId p : correct) {
     const auto& d = trace.of(p).decision;
     if (!d.has_value()) {
       cert.all_decided = false;
       continue;
     }
-    outputs.push_back(*d);
+    outputs.push_back(&*d);
   }
   if (outputs.empty()) return cert;
 
-  // Validity: every output inside the hull of correct inputs (Theorem 2).
-  const geo::Polytope correct_hull = geo::Polytope::from_points(correct_inputs);
-  cert.correct_hull_measure = correct_hull.measure();
+  // Validity: every output inside the hull of the validity inputs
+  // (Theorem 2).
+  const geo::Polytope hull = geo::Polytope::from_points(validity_inputs);
+  cert.correct_hull_measure = hull.measure();
   cert.validity = true;
-  for (const auto& out : outputs) {
-    if (!correct_hull.contains(out, check_tol)) cert.validity = false;
+  for (const geo::Polytope* out : outputs) {
+    if (!hull.contains(*out, check_tol)) cert.validity = false;
   }
 
   // ε-agreement: pairwise Hausdorff distance below ε (Theorem 2).
   cert.max_pairwise_hausdorff = 0.0;
   for (std::size_t a = 0; a < outputs.size(); ++a) {
     for (std::size_t b = a + 1; b < outputs.size(); ++b) {
-      cert.max_pairwise_hausdorff = std::max(
-          cert.max_pairwise_hausdorff, geo::hausdorff(outputs[a], outputs[b]));
+      cert.max_pairwise_hausdorff =
+          std::max(cert.max_pairwise_hausdorff,
+                   geo::hausdorff(*outputs[a], *outputs[b]));
     }
   }
-  cert.agreement = cert.max_pairwise_hausdorff < cfg.eps + check_tol;
+  cert.agreement = cert.max_pairwise_hausdorff < eps + check_tol;
 
-  // Optimality: I_Z contained in every output (Lemma 6 / Theorem 3). The
-  // drop count matches the fault model's round-0 rule.
+  cert.min_output_measure = outputs[0]->measure();
+  cert.max_output_measure = outputs[0]->measure();
+  for (const geo::Polytope* out : outputs) {
+    cert.min_output_measure = std::min(cert.min_output_measure, out->measure());
+    cert.max_output_measure = std::max(cert.max_output_measure, out->measure());
+  }
+  return cert;
+}
+
+Certificate certify(const TraceCollector& trace,
+                    const std::vector<sim::ProcessId>& correct,
+                    const std::vector<geo::Vec>& correct_inputs,
+                    const CCConfig& cfg, double check_tol) {
+  Certificate cert =
+      certify_outputs(trace, correct, correct_inputs, cfg.eps, check_tol);
+  if (std::none_of(correct.begin(), correct.end(), [&](sim::ProcessId p) {
+        return trace.of(p).decision.has_value();
+      })) {
+    return cert;
+  }
+
+  // Optimality: I_Z contained in every output (Lemma 6 / Theorem 3). Z is
+  // the common view of EVERY process that recorded one, exactly as the
+  // offline checker builds it; the drop count matches the fault model's
+  // round-0 rule.
+  std::vector<sim::ProcessId> participants;
+  for (sim::ProcessId p = 0; p < trace.n(); ++p) {
+    if (trace.of(p).round0_view.has_value()) participants.push_back(p);
+  }
   const geo::Polytope iz =
-      compute_iz(trace, correct, cfg.round0_drop(), cfg.rel_tol);
+      compute_iz(trace, participants, cfg.round0_drop(), cfg.rel_tol);
   cert.iz_measure = iz.is_empty() ? 0.0 : iz.measure();
-  if (iz.is_empty()) {
-    // Vacuous guaranteed region: the optimality floor could not even be
-    // formed (only possible without the stable vector).
-    cert.optimality = false;
-  } else {
-    cert.optimality = true;
-    for (const auto& out : outputs) {
-      if (!out.contains(iz, check_tol)) cert.optimality = false;
-    }
-  }
-
-  cert.min_output_measure = outputs[0].measure();
-  cert.max_output_measure = outputs[0].measure();
-  for (const auto& out : outputs) {
-    cert.min_output_measure = std::min(cert.min_output_measure, out.measure());
-    cert.max_output_measure = std::max(cert.max_output_measure, out.measure());
+  // A vacuous guaranteed region (only possible without the stable vector)
+  // leaves optimality false.
+  cert.optimality = !iz.is_empty();
+  for (sim::ProcessId p : correct) {
+    const auto& d = trace.of(p).decision;
+    if (d.has_value() && !d->contains(iz, check_tol)) cert.optimality = false;
   }
   return cert;
 }

@@ -10,8 +10,11 @@
 //    live rows; Lemma 3 bounds it by (1 − 1/n)^t.
 //  * compute_iz                — I_Z from Z = ∩ R_i (eq. 20–21); Lemma 6
 //    says I_Z ⊆ h_i[t] for every live process and round.
-//  * certify                   — validity, ε-agreement, optimality
-//    containment and size metrics for a finished run.
+//  * certify_outputs           — decision, validity, ε-agreement and size
+//    metrics: the protocol-independent half, which is BCC's whole
+//    certificate.
+//  * certify                   — certify_outputs plus the I_Z optimality
+//    containment of Algorithm CC.
 #pragma once
 
 #include <optional>
@@ -54,10 +57,10 @@ std::vector<geo::Polytope> replay_matrix_evolution(const TraceCollector& trace,
                                                    std::size_t t,
                                                    double rel_tol = 1e-9);
 
-/// I_Z per eq. (20)–(21): Z is the intersection of the recorded R_i over
-/// the given processes (fault-free, or all non-crashed), X_Z its multiset
-/// of points, and I_Z the (|X_Z|−f)-subset hull intersection. Returns an
-/// empty polytope if that intersection is empty (below the bound).
+/// I_Z per eq. (20)–(21) (obs::compute_iz over the recorded R_i of the
+/// given processes): Z is the intersection of their views, X_Z its
+/// multiset of points, and I_Z the (|X_Z|−f)-subset hull intersection.
+/// Returns an empty polytope if |X_Z| <= f or that intersection is empty.
 geo::Polytope compute_iz(const TraceCollector& trace,
                          const std::vector<sim::ProcessId>& procs,
                          std::size_t f, double rel_tol = 1e-9);
@@ -76,11 +79,25 @@ struct Certificate {
   std::size_t rounds = 0;
 };
 
+/// Decision, validity and ε-agreement of `correct`'s outputs, plus output
+/// sizes; optimality stays false and iz_measure 0. `validity_inputs` are
+/// the inputs whose hull bounds valid outputs. `check_tol` absorbs
+/// floating-point slack in the containment checks.
+Certificate certify_outputs(const TraceCollector& trace,
+                            const std::vector<sim::ProcessId>& correct,
+                            const std::vector<geo::Vec>& validity_inputs,
+                            double eps, double check_tol = 1e-6);
+
+/// certify_outputs plus optimality: I_Z, built from the round-0 views of
+/// every process that recorded one (as the offline checker builds it), is
+/// contained in every output. An empty I_Z leaves optimality false. With
+/// the stable vector the views are inclusion-ordered, so Z is the smallest
+/// view and I_Z is non-empty; under the naive round-0 ablation a faulty
+/// process's differing view can shrink Z until I_Z is empty.
 /// `correct` = fault-free processes (whose decisions are checked);
 /// `correct_inputs` = the inputs whose hull bounds valid outputs — the
 /// fault-free processes' inputs under the incorrect-inputs model, ALL
-/// inputs under the correct-inputs model. `check_tol` absorbs
-/// floating-point slack in the containment checks.
+/// inputs under the correct-inputs model.
 Certificate certify(const TraceCollector& trace,
                     const std::vector<sim::ProcessId>& correct,
                     const std::vector<geo::Vec>& correct_inputs,

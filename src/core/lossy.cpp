@@ -114,38 +114,22 @@ obs::TraceHeader make_trace_header(const LossyRunConfig& lc,
   return h;
 }
 
-LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
-                                   const Workload& workload) {
+LossyRunOutput simulate(const LossyRunConfig& lc, const Workload& workload,
+                        const sim::CrashSchedule& crashes,
+                        const ProcessBuilder& build,
+                        const ProtocolMetrics& protocol_metrics) {
   const RunConfig& rc = lc.base;
-  CHC_CHECK(workload.inputs.size() == rc.cc.n, "one input per process");
-  CHC_CHECK(workload.faulty.size() <= rc.cc.f,
-            "faulty set larger than configured f");
-
+  const std::size_t n = rc.cc.n;
   LossyRunOutput out;
   out.workload = workload;
 
-  // The termination bound (eq. 19) assumes the configured magnitude bounds
-  // the correct inputs; take the larger of the two so the guarantee holds.
-  CCConfig cfg = rc.cc;
-  cfg.input_magnitude =
-      std::max(rc.cc.input_magnitude, workload.correct_magnitude);
-
-  const bool tracing = lc.tracer != nullptr && lc.tracer->enabled();
-  if (tracing) {
-    lc.tracer->line(to_jsonl(make_trace_header(lc, cfg, workload)));
-  }
-
-  const sim::CrashSchedule crashes =
-      lc.crash_plans.has_value()
-          ? *lc.crash_plans
-          : make_crash_schedule(workload, rc.crash_style, rc.seed);
   std::unique_ptr<sim::DelayModel> delay =
-      make_delay_model(rc.delay, workload.faulty, cfg.n);
+      make_delay_model(rc.delay, workload.faulty, n);
   if (!lc.storms.empty()) {
     delay = std::make_unique<sim::StormDelay>(std::move(delay), lc.storms);
   }
 
-  sim::Simulation sim(cfg.n, rc.seed, std::move(delay), crashes);
+  sim::Simulation sim(n, rc.seed, std::move(delay), crashes);
   if (!lc.schedule.empty()) {
     sim.set_fault_model(std::make_unique<net::FaultyLinkModel>(lc.schedule));
   } else if (lc.policy.enabled()) {
@@ -154,46 +138,31 @@ LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
   sim.set_tracer(lc.tracer);
   sim.set_metrics(lc.metrics);
 
-  out.trace = std::make_unique<TraceCollector>(cfg.n, lc.tracer);
-  std::vector<net::ReliableChannel*> shims(cfg.n, nullptr);
+  out.trace = std::make_unique<TraceCollector>(n, lc.tracer);
+  std::vector<net::ReliableChannel*> shims(n, nullptr);
   net::ShimStats retired_shims;  // harvested from pre-recovery incarnations
-  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
-    auto cc = std::make_unique<CCProcess>(cfg, workload.inputs[p],
-                                          out.trace.get());
-    if (crashes.any_recovery()) cc->allow_sender_restart();
-    if (lc.reliable) {
-      auto shim = std::make_unique<net::ReliableChannel>(std::move(cc), lc.rel,
-                                                         lc.tracer);
-      shims[p] = shim.get();
-      sim.add_process(std::move(shim));
-    } else {
-      sim.add_process(std::move(cc));
-    }
-  }
+  const auto assemble = [&](sim::ProcessId p, std::uint32_t epoch)
+      -> std::unique_ptr<sim::Process> {
+    std::unique_ptr<sim::Process> proc = build(p, *out.trace);
+    if (!lc.reliable) return proc;
+    auto shim = std::make_unique<net::ReliableChannel>(std::move(proc), lc.rel,
+                                                       lc.tracer, epoch);
+    shims[p] = shim.get();
+    return shim;
+  };
+  for (sim::ProcessId p = 0; p < n; ++p) sim.add_process(assemble(p, 0));
   if (crashes.any_recovery()) {
     // Crash-recover with state loss: the replacement incarnation is built
-    // exactly like the original (same input — a restarted process re-derives
-    // everything from its durable input), except its shim starts at the new
-    // epoch so peers detect the restart. The retired incarnation's shim
-    // counters are folded into the aggregate before it is destroyed.
+    // exactly like the original (a restarted process re-derives everything
+    // from its durable input), except its shim starts at the new epoch so
+    // peers detect the restart. The retired incarnation's shim counters are
+    // folded into the aggregate before it is destroyed.
     sim.set_process_factory([&](sim::ProcessId p, std::size_t incarnation,
-                                std::unique_ptr<sim::Process> retired)
-                                -> std::unique_ptr<sim::Process> {
-      if (auto* old_shim =
-              dynamic_cast<net::ReliableChannel*>(retired.get())) {
-        retired_shims += old_shim->stats();
-      }
+                                std::unique_ptr<sim::Process> /*retired*/) {
+      if (shims[p] != nullptr) retired_shims += shims[p]->stats();
       shims[p] = nullptr;
       out.trace->reset_process(p);
-      auto cc = std::make_unique<CCProcess>(cfg, workload.inputs[p],
-                                            out.trace.get());
-      cc->allow_sender_restart();
-      if (!lc.reliable) return cc;
-      auto shim = std::make_unique<net::ReliableChannel>(
-          std::move(cc), lc.rel, lc.tracer,
-          static_cast<std::uint32_t>(incarnation));
-      shims[p] = shim.get();
-      return shim;
+      return assemble(p, static_cast<std::uint32_t>(incarnation));
     });
   }
 
@@ -213,71 +182,100 @@ LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
   out.stats.retransmits = out.shims.retransmits;
   out.stats.retransmit_by_tag = out.shims.retransmit_by_tag;
 
-  if (tracing) {
+  if (lc.tracer != nullptr && lc.tracer->enabled()) {
     obs::TraceFooter footer;
     footer.quiescent = out.quiescent;
     footer.decided = out.trace->decided().size();
     lc.tracer->line(to_jsonl(footer));
   }
   if (lc.metrics != nullptr) {
-    lc.metrics->counter("sim.messages_sent").inc(out.stats.messages_sent);
-    lc.metrics->counter("sim.messages_delivered")
-        .inc(out.stats.messages_delivered);
-    lc.metrics->counter("net.dropped").inc(out.stats.net_dropped);
-    lc.metrics->counter("net.duplicated").inc(out.stats.net_duplicated);
-    lc.metrics->counter("net.retransmits").inc(out.stats.retransmits);
-    lc.metrics->counter("sim.recoveries").inc(out.stats.recoveries);
+    obs::Registry& m = *lc.metrics;
+    m.counter("sim.messages_sent").inc(out.stats.messages_sent);
+    m.counter("sim.messages_delivered").inc(out.stats.messages_delivered);
+    m.counter("net.dropped").inc(out.stats.net_dropped);
+    m.counter("net.duplicated").inc(out.stats.net_duplicated);
+    m.counter("net.retransmits").inc(out.stats.retransmits);
+    m.counter("sim.recoveries").inc(out.stats.recoveries);
     if (lc.reliable) {
-      lc.metrics->counter("net.rel.data_sent").inc(out.shims.data_sent);
-      lc.metrics->counter("net.rel.retransmits").inc(out.shims.retransmits);
-      lc.metrics->counter("net.rel.acks_sent").inc(out.shims.acks_sent);
-      lc.metrics->counter("net.rel.delivered").inc(out.shims.delivered);
-      lc.metrics->counter("net.rel.dups_suppressed")
-          .inc(out.shims.dups_suppressed);
-      lc.metrics->counter("net.rel.buffered_out_of_order")
+      m.counter("net.rel.data_sent").inc(out.shims.data_sent);
+      m.counter("net.rel.retransmits").inc(out.shims.retransmits);
+      m.counter("net.rel.acks_sent").inc(out.shims.acks_sent);
+      m.counter("net.rel.delivered").inc(out.shims.delivered);
+      m.counter("net.rel.dups_suppressed").inc(out.shims.dups_suppressed);
+      m.counter("net.rel.buffered_out_of_order")
           .inc(out.shims.buffered_out_of_order);
-      lc.metrics->counter("net.rel.sends_abandoned")
-          .inc(out.shims.sends_abandoned);
-      lc.metrics->counter("net.rel.channels_abandoned")
+      m.counter("net.rel.sends_abandoned").inc(out.shims.sends_abandoned);
+      m.counter("net.rel.channels_abandoned")
           .inc(out.shims.channels_abandoned);
-      lc.metrics->counter("net.rel.stale_epoch_dropped")
+      m.counter("net.rel.stale_epoch_dropped")
           .inc(out.shims.stale_epoch_dropped);
-      lc.metrics->counter("net.rel.channel_resets")
-          .inc(out.shims.channel_resets);
-      lc.metrics->gauge("net.rel.max_current_backoff").set(max_backoff);
+      m.counter("net.rel.channel_resets").inc(out.shims.channel_resets);
+      m.gauge("net.rel.max_current_backoff").set(max_backoff);
     }
-    lc.metrics->counter("cc.decided").inc(out.trace->decided().size());
-    lc.metrics->gauge("cc.max_round")
-        .set(static_cast<double>(out.trace->max_round()));
-    lc.metrics->gauge("sim.end_time").set(out.stats.end_time);
-    // Geometry-kernel health: arena churn and the d = 2 incremental-L hit
-    // rate. Process-wide totals (gauges, not deltas) — a steady-state run
-    // shows geo.arena.chunk_mallocs flat across repeats.
-    const common::ArenaStats as = common::arena_stats();
-    lc.metrics->gauge("geo.arena.chunk_mallocs")
-        .set(static_cast<double>(as.chunk_mallocs));
-    lc.metrics->gauge("geo.arena.chunk_bytes")
-        .set(static_cast<double>(as.chunk_bytes));
-    lc.metrics->gauge("geo.arena.high_water")
-        .set(static_cast<double>(as.high_water));
-    const geo::InternStats is = geo::intern_stats();
-    lc.metrics->gauge("geo.combo.hits").set(static_cast<double>(is.combo_hits));
-    lc.metrics->gauge("geo.combo.misses")
-        .set(static_cast<double>(is.combo_misses));
-    lc.metrics->gauge("geo.combo.delta_hits")
-        .set(static_cast<double>(is.combo_delta_hits));
-    lc.metrics->gauge("geo.combo.delta_misses")
-        .set(static_cast<double>(is.combo_delta_misses));
+    m.gauge("sim.end_time").set(out.stats.end_time);
+    protocol_metrics(m, out);
   }
 
   const std::set<sim::ProcessId> faulty(workload.faulty.begin(),
                                         workload.faulty.end());
-  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
+  for (sim::ProcessId p = 0; p < n; ++p) {
     if (faulty.count(p) == 0) {
       out.correct.push_back(p);
       out.correct_inputs.push_back(workload.inputs[p]);
     }
   }
+  return out;
+}
+
+LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
+                                   const Workload& workload) {
+  const RunConfig& rc = lc.base;
+  CHC_CHECK(workload.inputs.size() == rc.cc.n, "one input per process");
+  CHC_CHECK(workload.faulty.size() <= rc.cc.f,
+            "faulty set larger than configured f");
+
+  // The termination bound (eq. 19) assumes the configured magnitude bounds
+  // the correct inputs; take the larger of the two so the guarantee holds.
+  CCConfig cfg = rc.cc;
+  cfg.input_magnitude =
+      std::max(rc.cc.input_magnitude, workload.correct_magnitude);
+
+  if (lc.tracer != nullptr && lc.tracer->enabled()) {
+    lc.tracer->line(to_jsonl(make_trace_header(lc, cfg, workload)));
+  }
+
+  const sim::CrashSchedule crashes =
+      lc.crash_plans.has_value()
+          ? *lc.crash_plans
+          : make_crash_schedule(workload, rc.crash_style, rc.seed);
+  LossyRunOutput out = simulate(
+      lc, workload, crashes,
+      [&](sim::ProcessId p,
+          TraceCollector& trace) -> std::unique_ptr<sim::Process> {
+        auto cc = std::make_unique<CCProcess>(cfg, workload.inputs[p], &trace);
+        if (crashes.any_recovery()) cc->allow_sender_restart();
+        return cc;
+      },
+      [](obs::Registry& m, const LossyRunOutput& o) {
+        m.counter("cc.decided").inc(o.trace->decided().size());
+        m.gauge("cc.max_round").set(static_cast<double>(o.trace->max_round()));
+        // Geometry-kernel health: arena churn and the d = 2 incremental-L
+        // hit rate. Process-wide totals (gauges, not deltas) — a steady-state
+        // run shows geo.arena.chunk_mallocs flat across repeats.
+        const common::ArenaStats as = common::arena_stats();
+        m.gauge("geo.arena.chunk_mallocs")
+            .set(static_cast<double>(as.chunk_mallocs));
+        m.gauge("geo.arena.chunk_bytes").set(static_cast<double>(as.chunk_bytes));
+        m.gauge("geo.arena.high_water").set(static_cast<double>(as.high_water));
+        const geo::InternStats is = geo::intern_stats();
+        m.gauge("geo.combo.hits").set(static_cast<double>(is.combo_hits));
+        m.gauge("geo.combo.misses").set(static_cast<double>(is.combo_misses));
+        m.gauge("geo.combo.delta_hits")
+            .set(static_cast<double>(is.combo_delta_hits));
+        m.gauge("geo.combo.delta_misses")
+            .set(static_cast<double>(is.combo_delta_misses));
+      });
+
   const std::vector<geo::Vec>& validity_inputs =
       (cfg.fault_model == FaultModel::kCrashCorrectInputs)
           ? workload.inputs

@@ -11,8 +11,13 @@
 // With `reliable = false` the processes face the raw lossy network — the
 // configuration that demonstrates the injector bites (CC generally fails
 // to decide once round-0 quorum traffic is dropped).
+//
+// simulate() is the protocol-independent half: the Byzantine harness
+// (bcc/harness.hpp) runs through it with its own process builder.
 #pragma once
 
+#include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -62,6 +67,29 @@ struct LossyRunOutput {
   std::vector<geo::Vec> correct_inputs;  ///< inputs of the processes in `correct`
   bool quiescent = false;
 };
+
+/// Builds the protocol process for id p — what the optional reliable shim
+/// wraps — recording into `trace`. Called once per process before the run
+/// and again for every crash-recover restart.
+using ProcessBuilder = std::function<std::unique_ptr<sim::Process>(
+    sim::ProcessId p, TraceCollector& trace)>;
+
+/// Reads protocol counters into the registry after the run, while the
+/// built processes are still alive.
+using ProtocolMetrics =
+    std::function<void(obs::Registry& metrics, const LossyRunOutput& out)>;
+
+/// One simulated execution of any protocol over lc's network: delay model
+/// (with storms), sim::Simulation, link faults (policy or schedule), a
+/// net::ReliableChannel around each built process when lc.reliable, the
+/// restart factory for crash-recover plans, the run, shim-stat folding,
+/// network metrics, the trace footer and the fault-free set. The caller
+/// writes the trace header before and certifies after; `protocol_metrics`
+/// runs only when lc.metrics is set.
+LossyRunOutput simulate(const LossyRunConfig& lc, const Workload& workload,
+                        const sim::CrashSchedule& crashes,
+                        const ProcessBuilder& build,
+                        const ProtocolMetrics& protocol_metrics);
 
 /// One complete lossy execution of Algorithm CC, certified.
 LossyRunOutput run_cc_lossy(const LossyRunConfig& lc);

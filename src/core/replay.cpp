@@ -1,7 +1,6 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 namespace chc::core {
@@ -159,7 +158,8 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   return true;
 }
 
-ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
+ReplayResult replay_lines(const std::vector<std::string>& lines,
+                          const Rerun& rerun) {
   ReplayResult r;
   if (lines.empty()) {
     r.error = "empty trace";
@@ -171,25 +171,12 @@ ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
     r.error = "header: " + error;
     return r;
   }
-  if (header.protocol != "cc") {
-    // Other protocols replay through their own module (bcc::replay_trace_
-    // lines for "bcc"); running them through the crash harness would
-    // silently produce a diverging trace instead of a diagnosis.
-    r.error = "protocol " + header.protocol +
-              " traces are not replayable by the crash-CC harness";
-    return r;
-  }
-  LossyRunConfig lc;
-  Workload workload;
-  if (!config_from_header(header, &lc, &workload, &error)) {
+  obs::MemorySink sink;
+  obs::Tracer tracer(&sink);
+  if (!rerun(header, tracer, &error)) {
     r.error = error;
     return r;
   }
-
-  obs::MemorySink sink;
-  obs::Tracer tracer(&sink);
-  lc.tracer = &tracer;
-  (void)run_cc_lossy_custom(lc, workload);
   r.ran = true;
 
   const std::vector<std::string> replayed = sink.lines();
@@ -214,19 +201,44 @@ ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
   return r;
 }
 
-ReplayResult replay_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
+ReplayResult replay_file(const std::string& path, const Rerun& rerun) {
+  std::vector<std::string> lines;
+  if (!obs::read_jsonl(path, lines)) {
     ReplayResult r;
     r.error = "cannot open " + path;
     return r;
   }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
+  return replay_lines(lines, rerun);
+}
+
+namespace {
+
+bool rerun_cc(const obs::TraceHeader& header, obs::Tracer& tracer,
+              std::string* error) {
+  if (header.protocol != "cc") {
+    // Other protocols replay through their own module (bcc::replay_trace_
+    // lines for "bcc"); running them through the crash harness would
+    // silently produce a diverging trace instead of a diagnosis.
+    return fail(error, "protocol " + header.protocol +
+                           " traces are not replayable by the crash-CC "
+                           "harness");
   }
-  return replay_trace_lines(lines);
+  LossyRunConfig lc;
+  Workload workload;
+  if (!config_from_header(header, &lc, &workload, error)) return false;
+  lc.tracer = &tracer;
+  (void)run_cc_lossy_custom(lc, workload);
+  return true;
+}
+
+}  // namespace
+
+ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
+  return replay_lines(lines, rerun_cc);
+}
+
+ReplayResult replay_trace_file(const std::string& path) {
+  return replay_file(path, rerun_cc);
 }
 
 }  // namespace chc::core

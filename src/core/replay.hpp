@@ -10,12 +10,15 @@
 // equal bytes). replay_trace_lines does exactly that and reports the first
 // differing line when the re-execution diverges — a tripwire for any
 // nondeterminism regression in the simulator, RNG forking or geometry
-// kernels.
+// kernels. replay_lines / replay_file hold that comparison for any
+// protocol; the Byzantine replayer (bcc/replay.hpp) plugs in its own
+// re-execution.
 //
-// Only env == "sim" traces are replayable (the threaded runtime is
+// Only env == "sim" traces are replayable (live cluster traces are
 // wall-clock scheduled).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -43,11 +46,24 @@ struct ReplayResult {
   std::size_t replayed_lines = 0;
 };
 
-/// Re-executes the run described by lines[0] and compares the produced
-/// trace line-for-line against `lines`.
-ReplayResult replay_trace_lines(const std::vector<std::string>& lines);
+/// A protocol's re-execution: runs the configuration `header` describes
+/// against `tracer`, or returns false (with *error) when the header is not
+/// replayable by that protocol.
+using Rerun = std::function<bool(const obs::TraceHeader& header,
+                                 obs::Tracer& tracer, std::string* error)>;
 
-/// Reads a JSONL trace file (blank lines ignored) and replays it.
+/// Re-executes the run described by lines[0] through `rerun` and compares
+/// the produced trace line-for-line against `lines`.
+ReplayResult replay_lines(const std::vector<std::string>& lines,
+                          const Rerun& rerun);
+
+/// Reads a JSONL trace file (blank lines ignored) and replays it through
+/// `rerun`.
+ReplayResult replay_file(const std::string& path, const Rerun& rerun);
+
+/// replay_lines / replay_file for crash-CC traces (protocol "cc"),
+/// re-executed through run_cc_lossy_custom.
+ReplayResult replay_trace_lines(const std::vector<std::string>& lines);
 ReplayResult replay_trace_file(const std::string& path);
 
 }  // namespace chc::core

@@ -1,30 +1,33 @@
 #include "core/workload.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 
 namespace chc::core {
 
-Workload make_workload(std::size_t n, std::size_t f, std::size_t d,
-                       InputPattern pattern, std::uint64_t seed,
-                       bool faulty_incorrect) {
-  CHC_CHECK(f < n, "need at least one correct process");
-  CHC_CHECK(d >= 1, "dimension must be >= 1");
-  Rng rng(seed);
+namespace {
 
+/// Draws the inputs of a workload whose faulty set is already fixed,
+/// continuing `rng`'s stream.
+Workload draw_inputs(Rng& rng, std::size_t n, std::size_t d,
+                     InputPattern pattern, std::vector<sim::ProcessId> faulty,
+                     bool faulty_incorrect) {
+  CHC_CHECK(faulty.size() < n, "need at least one correct process");
+  CHC_CHECK(d >= 1, "dimension must be >= 1");
   Workload w;
   w.inputs.resize(n);
-
-  // Adversary picks F.
-  w.faulty = rng.sample_indices(n, f);
+  w.faulty = std::move(faulty);
   std::sort(w.faulty.begin(), w.faulty.end());
   std::vector<bool> is_faulty(n, false);
-  for (auto p : w.faulty) {
+  for (std::size_t k = 0; k < w.faulty.size(); ++k) {
+    CHC_CHECK(w.faulty[k] < n, "faulty id out of range");
+    CHC_CHECK(k == 0 || w.faulty[k - 1] != w.faulty[k], "duplicate faulty id");
     // Under the correct-inputs model faulty processes draw pattern inputs
     // like everyone else.
-    if (faulty_incorrect) is_faulty[p] = true;
+    if (faulty_incorrect) is_faulty[w.faulty[k]] = true;
   }
 
   // Correct inputs per pattern.
@@ -82,6 +85,25 @@ Workload make_workload(std::size_t n, std::size_t f, std::size_t d,
   }
   w.correct_magnitude = std::max(w.correct_magnitude, 0.1);
   return w;
+}
+
+}  // namespace
+
+Workload make_workload(std::size_t n, std::size_t f, std::size_t d,
+                       InputPattern pattern, std::uint64_t seed,
+                       bool faulty_incorrect) {
+  CHC_CHECK(f < n, "need at least one correct process");
+  Rng rng(seed);
+  // Adversary picks F.
+  std::vector<sim::ProcessId> faulty = rng.sample_indices(n, f);
+  return draw_inputs(rng, n, d, pattern, std::move(faulty), faulty_incorrect);
+}
+
+Workload make_workload(std::size_t n, std::size_t d, InputPattern pattern,
+                       std::uint64_t seed, std::vector<sim::ProcessId> faulty) {
+  Rng rng(seed);
+  return draw_inputs(rng, n, d, pattern, std::move(faulty),
+                     /*faulty_incorrect=*/true);
 }
 
 sim::CrashSchedule make_crash_schedule(const Workload& w, CrashStyle style,

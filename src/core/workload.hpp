@@ -46,6 +46,12 @@ Workload make_workload(std::size_t n, std::size_t f, std::size_t d,
                        InputPattern pattern, std::uint64_t seed,
                        bool faulty_incorrect = true);
 
+/// Same layouts and draws for an explicit faulty set (distinct ids < n,
+/// fewer than n of them) in place of the seeded pick; the listed processes
+/// get outlier inputs.
+Workload make_workload(std::size_t n, std::size_t d, InputPattern pattern,
+                       std::uint64_t seed, std::vector<sim::ProcessId> faulty);
+
 /// Crash plans for the workload's faulty set in the given style.
 sim::CrashSchedule make_crash_schedule(const Workload& w, CrashStyle style,
                                        std::uint64_t seed);

@@ -3,13 +3,13 @@
 // Implements the sim::LinkFaultModel hook from a NetworkPolicy: each
 // accepted send is independently dropped, duplicated, or marked for
 // reordering according to its channel's configured rates. The injector is
-// stateless (thread-safe for the threaded runtime) and draws only from the
-// RNG the runtime passes in, so executions stay a pure function of
-// (processes, delay model, crash schedule, policy, seed).
+// stateless and draws only from the RNG the simulator passes in, so
+// executions stay a pure function of (processes, delay model, crash
+// schedule, policy, seed).
 //
 // Composability with DelayModel: the injector only decides a message's
 // fate; every surviving copy still draws its latency from whatever
-// DelayModel the runtime was built with. Reordered messages additionally
+// DelayModel the simulator was built with. Reordered messages additionally
 // pick up a uniform extra delay and bypass the per-channel FIFO clamp.
 //
 // Time-varying policies: constructed from a PolicySchedule the injector

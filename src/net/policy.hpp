@@ -3,9 +3,10 @@
 // A NetworkPolicy describes how far a network deviates from the paper's
 // reliable exactly-once FIFO model: per-channel probabilities of message
 // drop, duplication and reordering. net::FaultyLinkModel turns a policy
-// into the sim::LinkFaultModel hook both sim::Simulation and
-// rt::ThreadedRuntime consume, and net::ReliableChannel is the recovery
-// shim that restores the strong model on top (see reliable_channel.hpp).
+// into the sim::LinkFaultModel hook sim::Simulation consumes,
+// transport::FaultyTransport applies a PolicySchedule to a live node's
+// frames, and net::ReliableChannel is the recovery shim that restores the
+// strong model on top (see reliable_channel.hpp).
 //
 // The injected faults stay *fair-lossy* as long as drop_rate < 1: every
 // send is dropped independently, so a message retransmitted forever is
@@ -139,8 +140,8 @@ class PolicySchedule {
 };
 
 /// Tuning of the reliable-channel shim's retransmission machinery, in
-/// delay-model time units (the threaded runtime scales them by time_scale
-/// like every other delay).
+/// delay-model time units (NodeRuntime maps them onto wall time through
+/// its time_scale).
 struct ReliableParams {
   /// Initial retransmission timeout. The stock delay models draw one-way
   /// latencies <= 1.0, so with the scan-timer quantization (+tick) and the

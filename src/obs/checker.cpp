@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -22,6 +21,29 @@ std::string describe(const CheckViolation& v) {
   return os.str();
 }
 
+geo::Polytope compute_iz(const std::vector<const View*>& views,
+                         std::size_t drop, double rel_tol) {
+  if (views.empty()) return {};
+  // Views are inclusion-ordered under the stable vector, so Z is the
+  // smallest view; intersect by origin to stay robust when they are not.
+  View z = *views.front();
+  for (const View* view : views) {
+    for (auto it = z.begin(); it != z.end();) {
+      const auto other = view->find(it->first);
+      if (other == view->end() || !(other->second == it->second)) {
+        it = z.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+  if (z.size() <= drop) return {};
+  std::vector<geo::Vec> xz;
+  xz.reserve(z.size());
+  for (const auto& [origin, x] : z) xz.push_back(x);
+  return geo::intersection_of_subset_hulls(xz, drop, rel_tol);
+}
+
 namespace {
 
 /// A recorded polytope snapshot plus its provenance in the file.
@@ -36,7 +58,7 @@ struct PState {
   bool has_round0 = false;
   bool round0_empty = false;
   std::size_t round0_line = 0;
-  std::map<Pid, geo::Vec> view;
+  View view;
   std::map<std::size_t, Snapshot> h;  ///< round -> state (0 == h_i[0])
   std::set<std::size_t> started;      ///< rounds with a round_start
   bool decided = false;
@@ -693,38 +715,17 @@ class Checker {
     // A declared-faulty node that proceeds at n-f verified values while
     // its peers verify all n has a strictly smaller view; excluding it
     // would inflate I_Z above states its collapsed round-0 state later
-    // contracts (observed in live pause_resume runs). Views are
-    // inclusion-ordered (checked above), so the intersection is the
-    // smallest view; intersect by origin to stay robust when they are not.
-    bool have = false;
-    std::map<Pid, geo::Vec> z;
+    // contracts (observed in live pause_resume runs).
+    std::vector<const View*> views;
     for (Pid p = 0; p < procs_.size(); ++p) {
       const PState& ps = procs_[p].front();
-      if (!ps.has_round0) continue;
-      if (!have) {
-        z = ps.view;
-        have = true;
-        continue;
-      }
-      for (auto it = z.begin(); it != z.end();) {
-        const auto other = ps.view.find(it->first);
-        if (other == ps.view.end() || !(other->second == it->second)) {
-          it = z.erase(it);
-        } else {
-          ++it;
-        }
-      }
+      if (ps.has_round0) views.push_back(&ps.view);
     }
-    if (!have || z.empty()) return;
-    std::vector<geo::Vec> xz;
-    xz.reserve(z.size());
-    for (const auto& [origin, x] : z) xz.push_back(x);
     const std::size_t drop = h.correct_inputs_model ? 0 : h.f;
-    if (xz.size() <= drop) return;
-    const geo::Polytope iz =
-        geo::intersection_of_subset_hulls(xz, drop, h.rel_tol);
+    const geo::Polytope iz = compute_iz(views, drop, h.rel_tol);
     if (iz.is_empty()) return;
     report_.iz_checked = true;
+    report_.iz_measure = iz.measure();
     // Resolution-limited snapshots get the collapse slack: exact
     // arithmetic still gives containment (Lemma 6's induction is
     // unaffected by collapse), but the surviving vertex of a fully
@@ -778,16 +779,11 @@ CheckReport check_trace_lines(const std::vector<std::string>& lines,
 
 CheckReport check_trace_file(const std::string& path,
                              const CheckOptions& opts) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
+  std::vector<std::string> lines;
+  if (!read_jsonl(path, lines)) {
     CheckReport r;
     r.parse_error = "cannot open " + path;
     return r;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
   }
   return check_trace_lines(lines, opts);
 }

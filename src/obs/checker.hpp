@@ -3,8 +3,8 @@
 //
 // Structural checks (the trace is a plausible execution):
 //   * the first record is a header; seq numbers strictly increase and event
-//     times are non-decreasing (env == "sim" traces only — the threaded
-//     runtime's sink interleaves);
+//     times are non-decreasing (env == "sim" traces only — env == "live"
+//     traces record wall-clock interleavings);
 //   * per process: at most one round-0 completion, round completions are
 //     consecutive from 1, each preceded by its round_start, at most one
 //     decision, and nothing is emitted after the process's crash event;
@@ -55,12 +55,24 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "geometry/polytope.hpp"
 #include "obs/trace.hpp"
 
 namespace chc::obs {
+
+/// A recorded round-0 view R_i: origin -> input.
+using View = std::map<Pid, geo::Vec>;
+
+/// I_Z per eq. (20)-(21), the one definition the checker and core::certify
+/// share: Z keeps the entries every view holds with an equal point, and
+/// I_Z intersects the hulls of all (|Z| - drop)-subsets of Z's points.
+/// Empty when `views` is empty or |Z| <= drop (the floor is vacuous).
+geo::Polytope compute_iz(const std::vector<const View*>& views,
+                         std::size_t drop, double rel_tol);
 
 struct CheckViolation {
   std::size_t line = 0;  ///< 1-based line number in the trace file
@@ -92,6 +104,7 @@ struct CheckReport {
   std::size_t pairs_checked = 0;
   std::size_t rounds_seen = 0;
   bool iz_checked = false;
+  double iz_measure = 0.0;  ///< measure of the I_Z floor, when checked
 
   /// Round containments skipped because the senders' previous states are
   /// legitimately unknowable: a single-node perspective trace cannot see

@@ -651,4 +651,15 @@ void JsonlFileSink::flush() {
   out_.flush();
 }
 
+bool read_jsonl(const std::string& path, std::vector<std::string>& lines) {
+  std::ifstream in(path);
+  if (!in.is_open()) return false;
+  lines.clear();
+  std::string line;
+  while (std::getline(in, line)) {
+    if (!line.empty()) lines.push_back(line);
+  }
+  return true;
+}
+
 }  // namespace chc::obs

@@ -1,7 +1,7 @@
 // Structured execution tracing: typed events, sinks, and the Tracer hook.
 //
-// Every layer of an execution — the discrete-event simulator / threaded
-// runtime (message send/recv/drop/dup, crashes), the reliable-channel shim
+// Every layer of an execution — the discrete-event simulator (message
+// send/recv/drop/dup, crashes), the reliable-channel shim
 // (retransmissions) and Algorithm CC itself (round starts/completions with
 // polytope snapshots, stable-vector delivery, decisions) — emits TraceEvents
 // through one Tracer. The arXiv version of the paper makes the per-round
@@ -16,10 +16,11 @@
 // per emission site, and emit_with() takes a callable so event construction
 // (vertex copies, sender sets) never happens unless a sink is attached.
 //
-// Thread safety: seq stamping is atomic and sinks lock internally, so one
-// Tracer may be shared by all threads of rt::ThreadedRuntime. Under the
-// single-threaded simulator, seq order == emission order == file order,
-// which is what makes replay comparison line-for-line.
+// Thread safety: seq stamping is atomic and sinks lock internally, so a
+// Tracer or sink may be shared across threads (svc shards, NodeRuntime
+// stepping threads). Under the single-threaded simulator, seq order ==
+// emission order == file order, which is what makes replay comparison
+// line-for-line.
 #pragma once
 
 #include <atomic>
@@ -136,15 +137,15 @@ struct TraceHeader {
   /// Algorithm CC — the default, omitted from the serialized form) or
   /// "bcc" (Byzantine convex consensus). Checker and replay dispatch on it.
   std::string protocol = "cc";
-  /// "sim" (deterministic, replayable), "rt" (threaded runtime, wall
-  /// clock), or "live" (a real multi-process cluster node; wall clock,
-  /// NOT seed-replayable — the checker verifies safety invariants only).
+  /// "sim" (deterministic, replayable) or "live" (a real cluster node;
+  /// wall clock, NOT seed-replayable — the checker verifies safety
+  /// invariants only).
   std::string env = "sim";
   /// Live traces are written per node: a node can only record its own
   /// protocol events, so `perspective` names the one process this trace
   /// covers and the checker restricts cross-process invariants to what a
   /// single-process view can support. -1 (the default, omitted from the
-  /// serialized form) means the trace covers every process, as sim / rt /
+  /// serialized form) means the trace covers every process, as sim and
   /// merged cluster traces do.
   std::int64_t perspective = -1;
 
@@ -243,6 +244,11 @@ class JsonlFileSink final : public TraceSink {
   std::mutex mu_;
   std::ofstream out_;
 };
+
+/// Reads a JSONL trace file into `lines`, skipping blank lines — the one
+/// reader the checker and both replayers share. False when the file cannot
+/// be opened.
+bool read_jsonl(const std::string& path, std::vector<std::string>& lines);
 
 /// The emission hook handed to runtimes and protocol layers. Default
 /// constructed it is disabled and every call collapses to a pointer test.

@@ -3,15 +3,15 @@
 // The paper's system model assumes reliable, exactly-once, FIFO channels.
 // Real networks only provide *fair-lossy* links: a message may be dropped,
 // duplicated, or delivered out of order, but a message retransmitted
-// forever is eventually delivered. The simulator (and the threaded
-// runtime) expose that weaker model through this hook: every accepted send
+// forever is eventually delivered. The simulator exposes that weaker
+// model through this hook: every accepted send
 // is first submitted to an optional LinkFaultModel, which decides the
 // message's fate. The net/ module provides the concrete policy-driven
 // implementation (net::FaultyLinkModel) and the recovery layer
 // (net::ReliableChannel) that rebuilds the strong model on top.
 //
-// The hook lives in sim/ (not net/) so the runtimes need no dependency on
-// the net module; with no model installed, behaviour is bit-for-bit the
+// The hook lives in sim/ (not net/) so the simulator needs no dependency
+// on the net module; with no model installed, behaviour is bit-for-bit the
 // seed semantics.
 #pragma once
 
@@ -27,7 +27,7 @@ struct LinkFaultDecision {
   /// Message vanishes (never enqueued). Overrides every other field.
   bool drop = false;
   /// Total copies enqueued (>= 1; values > 1 model duplication). Each copy
-  /// draws an independent delay from the runtime's DelayModel.
+  /// draws an independent delay from the simulator's DelayModel.
   std::size_t copies = 1;
   /// Added to every copy's delay (reordering fuel).
   Time extra_delay = 0.0;
@@ -38,9 +38,9 @@ struct LinkFaultDecision {
 
 /// Strategy interface consulted once per accepted send.
 ///
-/// Implementations must be stateless apart from their configuration: the
-/// threaded runtime calls decide() concurrently from every sender thread
-/// (each passing its own per-process Rng), so any mutable state would race.
+/// Implementations must be stateless apart from their configuration and
+/// draw only from the Rng passed in, so an execution stays a pure function
+/// of its seed.
 class LinkFaultModel {
  public:
   virtual ~LinkFaultModel() = default;

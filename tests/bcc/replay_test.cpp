@@ -19,7 +19,7 @@ std::vector<std::string> traced_byz_run(ByzRunConfig bc) {
   obs::MemorySink sink;
   obs::Tracer tracer(&sink);
   bc.lossy.tracer = &tracer;
-  const core::Workload w = make_byz_workload(
+  const core::Workload w = core::make_workload(
       bc.lossy.base.cc.n, bc.lossy.base.cc.d, bc.lossy.base.pattern,
       bc.lossy.base.seed, [&] {
         std::vector<sim::ProcessId> faulty;

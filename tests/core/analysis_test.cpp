@@ -9,6 +9,7 @@
 #include <cmath>
 
 #include "core/harness.hpp"
+#include "obs/checker.hpp"
 
 namespace chc::core {
 namespace {
@@ -205,6 +206,63 @@ TEST(Analysis, CertifyDetectsInvalidOutput) {
       certify(bad, out.correct, out.correct_inputs, small_run_config().cc);
   EXPECT_FALSE(cert.validity);
   EXPECT_FALSE(cert.optimality);
+}
+
+TEST(Analysis, CertifyAndCheckerShareIzWhenAFaultyViewIsSmaller) {
+  // n = 5, f = 1, d = 1, input x_p = p, process 4 faulty. The fault-free
+  // processes see all five inputs; the faulty one saw only {0, 1, 2, 4}.
+  // Z over every round-0 view is then {0, 1, 2, 4} and I_Z = [1, 2], where
+  // the fault-free views alone would give [1, 3]. The decisions [1, 2.5]
+  // contain the first floor but not the second.
+  const CCConfig cfg{.n = 5, .f = 1, .d = 1, .eps = 0.5};
+  const auto segment = [](double lo, double hi) {
+    return geo::Polytope::from_points({geo::Vec{lo}, geo::Vec{hi}});
+  };
+  std::vector<geo::Vec> inputs;
+  dsm::StableVectorResult full, partial;
+  obs::TraceHeader header;
+  header.n = cfg.n;
+  header.f = cfg.f;
+  header.d = cfg.d;
+  header.eps = cfg.eps;
+  header.t_end = 1;
+  header.faulty = {4};
+  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
+    inputs.push_back(geo::Vec{static_cast<double>(p)});
+    header.inputs.push_back(inputs[p].coords());
+    full.emplace_back(p, inputs[p]);
+    if (p != 3) partial.emplace_back(p, inputs[p]);
+  }
+
+  obs::MemorySink sink;
+  obs::Tracer tracer(&sink);
+  tracer.line(obs::to_jsonl(header));
+  TraceCollector trace(cfg.n, &tracer);
+  const std::vector<sim::ProcessId> correct = {0, 1, 2, 3};
+  for (sim::ProcessId p : correct) {
+    trace.record_round0(p, full, segment(1.0, 3.0));
+  }
+  trace.record_round0(4, partial, segment(1.0, 2.0));
+  for (sim::ProcessId p : correct) {
+    obs::TraceEvent start;
+    start.kind = obs::EventKind::kRoundStart;
+    start.p = p;
+    start.round = 1;
+    trace.tracer().emit(start);
+    trace.record_round(p, 1, {0, 1, 2, 3}, segment(1.0, 2.5));
+    trace.record_decision(p, segment(1.0, 2.5), 1);
+  }
+
+  const obs::CheckReport report = obs::check_trace_lines(sink.lines());
+  ASSERT_TRUE(report.parsed) << report.parse_error;
+  EXPECT_TRUE(report.ok()) << obs::describe(report.violations.front());
+  ASSERT_TRUE(report.iz_checked);
+  EXPECT_NEAR(report.iz_measure, 1.0, 1e-9);
+
+  const Certificate cert = certify(
+      trace, correct, {inputs[0], inputs[1], inputs[2], inputs[3]}, cfg);
+  EXPECT_DOUBLE_EQ(cert.iz_measure, report.iz_measure);
+  EXPECT_TRUE(cert.optimality);
 }
 
 }  // namespace

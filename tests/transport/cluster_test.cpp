@@ -1,5 +1,6 @@
 // Cluster runtime tests: NodeRuntime over LoopbackHub (threaded, the TSan
-// target), TCP reconnect with epoch bump, and the line RPC.
+// target) — clean and under injected link faults — TCP reconnect with
+// epoch bump, and the line RPC.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -15,6 +16,7 @@
 #include "core/workload.hpp"
 #include "geometry/polytope.hpp"
 #include "obs/checker.hpp"
+#include "transport/faulty.hpp"
 #include "transport/loopback.hpp"
 #include "transport/node.hpp"
 #include "transport/rpc.hpp"
@@ -293,6 +295,112 @@ TEST_F(LoopbackClusterTest, FiveNodesDecideThenSurviveCrashRestart) {
   // No: instance 2 started after the restart, so node 0 wrote e1 only.
   // Wave 1 on node 0 is an e0 trace cut off by the crash.
   EXPECT_EQ(checked, 10u);
+}
+
+TEST(AdversaryFuzz, ShimmedCcOnLoopbackHub) {
+  // Real concurrent nodes under a lossy network: every endpoint drops 20%
+  // and duplicates 5% of its frames, each node steps on its own thread, and
+  // node 4 (the incorrect input) is destroyed once it has sent 40 frames.
+  // The four survivors must decide inside the hull of the correct inputs
+  // and within eps of each other.
+  constexpr std::size_t kN = 5;
+  constexpr std::size_t kDoomed = 4;
+  const core::CCConfig cc{.n = kN, .f = 1, .d = 2, .eps = 0.15};
+  const std::vector<geo::Vec> inputs = {
+      geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0}, geo::Vec{0.0, 1.0},
+      geo::Vec{1.0, 1.0}, geo::Vec{1.8, 1.9}};
+  const geo::Polytope correct_hull = geo::Polytope::from_points(
+      {inputs[0], inputs[1], inputs[2], inputs[3]});
+  net::PolicySchedule lossy;
+  lossy.add(0.0, net::NetworkPolicy::lossy(0.2, 0.05));
+  const double anchor = std::chrono::duration<double>(
+                            std::chrono::system_clock::now().time_since_epoch())
+                            .count();
+
+  for (const std::uint64_t seed : {101u, 202u, 303u}) {
+    LoopbackHub hub(kN);
+    std::vector<std::unique_ptr<Transport>> endpoints;
+    std::vector<std::unique_ptr<FaultyTransport>> links;
+    std::vector<std::unique_ptr<NodeRuntime>> nodes;
+    InstanceSpec spec;
+    spec.id = 1;
+    spec.cc = cc;
+    spec.seed = seed;
+    spec.inputs = inputs;
+    spec.faulty = {kDoomed};
+    for (std::size_t i = 0; i < kN; ++i) {
+      NodeConfig cfg;
+      cfg.id = i;
+      cfg.n = kN;
+      cfg.time_scale = 1e-3;
+      endpoints.push_back(hub.endpoint(i));
+      links.push_back(std::make_unique<FaultyTransport>(*endpoints[i]));
+      links[i]->set_schedule(lossy, anchor, seed, cfg.time_scale);
+      nodes.push_back(std::make_unique<NodeRuntime>(cfg, *links[i]));
+      nodes[i]->start_instance(spec);
+    }
+
+    std::atomic<std::size_t> decided{0};
+    std::atomic<bool> give_up{false};
+    std::atomic<bool> destroyed{false};
+    std::uint64_t doomed_drops = 0;
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kN; ++i) {
+      threads.emplace_back([&, i] {
+        bool counted = false;
+        while (decided.load() < kN - 1 && !give_up.load()) {
+          nodes[i]->step(1);
+          if (i == kDoomed) {
+            const FaultyTransport::Stats& s = links[i]->stats();
+            if (s.passed + s.injected_drops < 40) continue;
+            // Crash: the node and its endpoint go away mid-protocol; the
+            // hub drops every frame still addressed to it.
+            doomed_drops = s.injected_drops;
+            nodes[i].reset();
+            links[i].reset();
+            endpoints[i].reset();
+            destroyed.store(true);
+            return;
+          }
+          if (!counted && nodes[i]->status(spec.id).decided) {
+            counted = true;
+            decided.fetch_add(1);
+          }
+        }
+      });
+    }
+    const auto dl = Clock::now() + std::chrono::seconds(60);
+    while (decided.load() < kN - 1 && !deadline_passed(dl)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    give_up.store(true);
+    for (auto& t : threads) t.join();
+    ASSERT_EQ(decided.load(), kN - 1)
+        << "seed " << seed << ": processes did not decide over the lossy "
+        << "network";
+    ASSERT_TRUE(destroyed.load())
+        << "seed " << seed << ": node " << kDoomed
+        << " was never destroyed mid-run";
+
+    std::uint64_t drops = doomed_drops;
+    std::vector<geo::Polytope> decisions;
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (i == kDoomed) continue;
+      drops += links[i]->stats().injected_drops;
+      decisions.push_back(
+          geo::Polytope::from_points(nodes[i]->status(spec.id).decision));
+    }
+    EXPECT_GT(drops, 0u) << "seed " << seed;
+    for (const geo::Polytope& dec : decisions) {
+      EXPECT_TRUE(correct_hull.contains(dec, 1e-6)) << "seed " << seed;
+    }
+    for (std::size_t a = 0; a < decisions.size(); ++a) {
+      for (std::size_t b = a + 1; b < decisions.size(); ++b) {
+        EXPECT_LT(geo::hausdorff(decisions[a], decisions[b]), cc.eps)
+            << "seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -146,69 +146,6 @@ void BM_EqualWeightCombinationMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_EqualWeightCombinationMemoized)->Arg(8)->Arg(32);
 
-void BM_ComboDeltaRounds(benchmark::State& state) {
-  // Steady-state CC rounds with churning membership (E13): m operands,
-  // 8 rounds per iteration, one operand swapped per round — the common
-  // single-crash round-over-round delta. The incremental path reuses the
-  // surviving m-1 edge fans and pays one fan build plus the k-way merge
-  // per round.
-  const auto ops_n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kRounds = 8;
-  constexpr std::size_t kPoolIters = 64;
-  std::vector<PolytopeHandle> pool;
-  for (std::size_t i = 0; i < ops_n + kRounds * kPoolIters; ++i) {
-    pool.push_back(intern(Polytope::from_points(cloud(12, 2, 100 + i))));
-  }
-  ComboCache cache;  // service-default capacity (see service.hpp)
-  ComboCache* prev = set_thread_combo_cache(&cache);
-  std::size_t cursor = ops_n;
-  for (auto _ : state) {
-    if (cursor + kRounds > pool.size()) {
-      cursor = ops_n;
-      cache.clear();  // wrap: drop the memo so repeats recompute honestly
-    }
-    std::vector<PolytopeHandle> round(pool.begin(),
-                                      pool.begin() +
-                                          static_cast<std::ptrdiff_t>(ops_n));
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      round[r % ops_n] = pool[cursor++];
-      benchmark::DoNotOptimize(equal_weight_combination_interned(round));
-    }
-  }
-  set_thread_combo_cache(prev);
-  clear_intern_caches();
-}
-BENCHMARK(BM_ComboDeltaRounds)->Arg(10);
-
-void BM_ComboDeltaRounds_Reference(benchmark::State& state) {
-  // Full recompute on the identical round schedule: the pre-delta miss
-  // path — copy every operand out of its handle, rebuild all m fans,
-  // merge, intern. Same inputs, same output bits.
-  const auto ops_n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kRounds = 8;
-  constexpr std::size_t kPoolIters = 64;
-  std::vector<PolytopeHandle> pool;
-  for (std::size_t i = 0; i < ops_n + kRounds * kPoolIters; ++i) {
-    pool.push_back(intern(Polytope::from_points(cloud(12, 2, 100 + i))));
-  }
-  std::size_t cursor = ops_n;
-  for (auto _ : state) {
-    if (cursor + kRounds > pool.size()) cursor = ops_n;
-    std::vector<PolytopeHandle> round(pool.begin(),
-                                      pool.begin() +
-                                          static_cast<std::ptrdiff_t>(ops_n));
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      round[r % ops_n] = pool[cursor++];
-      std::vector<Polytope> ops;
-      ops.reserve(round.size());
-      for (const auto& h : round) ops.push_back(*h);
-      benchmark::DoNotOptimize(intern(equal_weight_combination(ops)));
-    }
-  }
-  clear_intern_caches();
-}
-BENCHMARK(BM_ComboDeltaRounds_Reference)->Arg(10);
-
 void BM_SubsetHullIntersection(benchmark::State& state) {
   // Round 0, line 5: intersect C(m, f) subset hulls (m = n-f points, f=2).
   // Engine path: pooled subset hulls + prechecked-clip ordered reduction.

@@ -8,8 +8,10 @@ namespace chc::core {
 
 std::size_t CCConfig::t_end() const {
   CHC_CHECK(n >= 2, "need at least two processes");
-  CHC_CHECK(eps > 0.0, "epsilon must be positive");
-  CHC_CHECK(input_magnitude > 0.0, "input magnitude bound must be positive");
+  CHC_CHECK(std::isfinite(eps) && eps > 0.0,
+            "epsilon must be positive and finite");
+  CHC_CHECK(std::isfinite(input_magnitude) && input_magnitude > 0.0,
+            "input magnitude bound must be positive and finite");
   const double omega = std::sqrt(static_cast<double>(d)) *
                        static_cast<double>(n) * input_magnitude;
   const double shrink = 1.0 - 1.0 / static_cast<double>(n);

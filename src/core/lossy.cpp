@@ -259,7 +259,7 @@ LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
       [](obs::Registry& m, const LossyRunOutput& o) {
         m.counter("cc.decided").inc(o.trace->decided().size());
         m.gauge("cc.max_round").set(static_cast<double>(o.trace->max_round()));
-        // Geometry-kernel health: arena churn and the d = 2 incremental-L
+        // Geometry-kernel health: arena churn and the combination memo's
         // hit rate. Process-wide totals (gauges, not deltas) — a steady-state
         // run shows geo.arena.chunk_mallocs flat across repeats.
         const common::ArenaStats as = common::arena_stats();
@@ -270,10 +270,6 @@ LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
         const geo::InternStats is = geo::intern_stats();
         m.gauge("geo.combo.hits").set(static_cast<double>(is.combo_hits));
         m.gauge("geo.combo.misses").set(static_cast<double>(is.combo_misses));
-        m.gauge("geo.combo.delta_hits")
-            .set(static_cast<double>(is.combo_delta_hits));
-        m.gauge("geo.combo.delta_misses")
-            .set(static_cast<double>(is.combo_delta_misses));
       });
 
   const std::vector<geo::Vec>& validity_inputs =

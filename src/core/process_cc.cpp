@@ -64,7 +64,7 @@ void CCProcess::on_round0(sim::Context& ctx,
   }
 
   h_ = geo::intern(std::move(h0));
-  history_.push_back(*h_);
+  ++completed_rounds_;
   if (trace_ != nullptr) trace_->record_round0(ctx.self(), view, *h_, ctx.now());
   enter_round(ctx, 1);
 }
@@ -113,7 +113,7 @@ void CCProcess::maybe_complete_round(sim::Context& ctx) {
           geo::simplify(*next, cfg_.max_polytope_vertices, cfg_.rel_tol));
     }
     h_ = std::move(next);
-    history_.push_back(*h_);
+    ++completed_rounds_;
     if (trace_ != nullptr) {
       trace_->record_round(ctx.self(), current_round_, std::move(senders),
                            *h_, ctx.now());

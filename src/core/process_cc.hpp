@@ -50,8 +50,10 @@ class CCProcess final : public sim::Process {
   /// The decision h_i[t_end]; empty until the process terminates.
   const std::optional<geo::Polytope>& decision() const { return decision_; }
 
-  /// h_i[t] for all completed rounds (index 0 = h_i[0]).
-  const std::vector<geo::Polytope>& history() const { return history_; }
+  /// Number of completed rounds, round 0 included: t + 1 once h_i[t] is
+  /// computed, 0 before round 0 completes. (A traced run records every
+  /// h_i[t] in its TraceCollector.)
+  std::size_t completed_rounds() const { return completed_rounds_; }
 
   /// True if round 0 produced an empty polytope (only possible below the
   /// n >= (d+2)f+1 resilience bound) — the process halts in that case.
@@ -90,7 +92,7 @@ class CCProcess final : public sim::Process {
 
   std::unique_ptr<dsm::StableVector> sv_;
   geo::PolytopeHandle h_;  // current state h_i[current_round_ - 1], interned
-  std::vector<geo::Polytope> history_;
+  std::size_t completed_rounds_ = 0;
   std::size_t current_round_ = 0;  // round being executed
   bool round0_done_ = false;
   bool round0_failed_ = false;

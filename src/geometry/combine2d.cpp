@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
@@ -9,6 +10,18 @@
 
 namespace chc::geo {
 namespace {
+
+/// One directed boundary edge of a scaled operand polygon.
+struct CombEdge {
+  double ex = 0.0, ey = 0.0;
+};
+
+/// The angle-sorted edge fan of one scaled operand.
+struct OperandEdges {
+  double start_x = 0.0;  ///< scaled bottom-most (min y, then min x) vertex
+  double start_y = 0.0;
+  std::vector<CombEdge> edges;  ///< sorted by pseudo-angle (strictly)
+};
 
 /// 0 when the edge direction lies in the half-open upper halfplane
 /// (angle ∈ [0, π)), 1 for the lower ([π, 2π)).
@@ -20,24 +33,20 @@ int angle_half(double ex, double ey) {
 
 /// Value-based total preorder on edge vectors: pseudo-angle half, then
 /// cross product within a half-turn, then the raw IEEE bits of (ex, ey).
-/// Two edges that compare equal are bitwise-identical vectors, so any
+/// Two edges that compare equal are bitwise-identical vectors, so every
 /// sorted arrangement of a given multiset yields the same boundary-walk
-/// bits — the property the incremental patch path relies on. (Operand
-/// rank deliberately does not participate: the order of a merged sequence
-/// must not depend on which round assembled it.)
-bool angle_less(double aex, double aey, double bex, double bey) {
-  const int ha = angle_half(aex, aey), hb = angle_half(bex, bey);
-  if (ha != hb) return ha < hb;
-  const double cr = aex * bey - aey * bex;
-  if (cr != 0.0) return cr > 0.0;
-  const std::uint64_t ax = std::bit_cast<std::uint64_t>(aex);
-  const std::uint64_t bx = std::bit_cast<std::uint64_t>(bex);
-  if (ax != bx) return ax < bx;
-  return std::bit_cast<std::uint64_t>(aey) < std::bit_cast<std::uint64_t>(bey);
-}
-
+/// bits. (Operand rank deliberately does not participate: the merged
+/// sequence must not depend on the order the fans are passed in.)
 bool edge_less(const CombEdge& a, const CombEdge& b) {
-  return angle_less(a.ex, a.ey, b.ex, b.ey);
+  const int ha = angle_half(a.ex, a.ey), hb = angle_half(b.ex, b.ey);
+  if (ha != hb) return ha < hb;
+  const double cr = a.ex * b.ey - a.ey * b.ex;
+  if (cr != 0.0) return cr > 0.0;
+  const std::uint64_t ax = std::bit_cast<std::uint64_t>(a.ex);
+  const std::uint64_t bx = std::bit_cast<std::uint64_t>(b.ex);
+  if (ax != bx) return ax < bx;
+  return std::bit_cast<std::uint64_t>(a.ey) <
+         std::bit_cast<std::uint64_t>(b.ey);
 }
 
 /// CCW copy of a 2-D convex polygon's vertices (reverses if needed).
@@ -49,8 +58,7 @@ std::vector<Vec> ccw2(const std::vector<Vec>& poly) {
   return poly;
 }
 
-}  // namespace
-
+/// The edge fan of `p` scaled by `weight` (> 0).
 OperandEdges build_operand_edges(const Polytope& p, double weight) {
   OperandEdges fan;
   std::vector<Vec> v = ccw2(p.vertices());
@@ -82,109 +90,60 @@ OperandEdges build_operand_edges(const Polytope& p, double weight) {
   return fan;
 }
 
-std::vector<TaggedEdge> merge_fans(
-    const std::vector<const OperandEdges*>& fans,
-    const std::vector<const void*>* owners) {
-  std::size_t total = 0;
-  for (const OperandEdges* f : fans) total += f->edges.size();
+}  // namespace
 
-  // K-way merge of the sorted fans: a linear scan over the k heads per
-  // output edge (k is the round size — small — so this beats re-sorting
-  // all E edges every round). Ties pick the lowest-index fan; tied edges
-  // are bitwise-identical, so the pick never changes downstream bits.
+Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
+                                   const std::vector<double>& weights,
+                                   double rel_tol) {
+  std::vector<OperandEdges> fans;
+  fans.reserve(polys.size());
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    if (weights[i] == 0.0) continue;
+    fans.push_back(build_operand_edges(polys[i], weights[i]));
+  }
+  CHC_CHECK(!fans.empty(), "L with every weight zero");
+  double start_x = 0.0, start_y = 0.0;
+  std::size_t total = 0;
+  for (const OperandEdges& f : fans) {
+    start_x += f.start_x;
+    start_y += f.start_y;
+    total += f.edges.size();
+  }
+  if (total == 0) {
+    return Polytope::from_points({Vec{start_x, start_y}}, rel_tol);
+  }
+
+  // K-way merge of the sorted fans, walked as it goes: a linear scan over
+  // the k heads per output edge (k is the round size — small — so this
+  // beats re-sorting all E edges every round). Ties pick the lowest-index
+  // fan; tied edges are bitwise-identical, so the pick never changes the
+  // walk's bits. The walk closes back at the start because each fan's
+  // edges sum to zero, so the last (maximal) edge is not walked rather
+  // than emitting a near-duplicate of the start vertex. The walk lives in
+  // arena scratch until canonicalization picks the surviving vertices.
+  common::ArenaScope scope;
+  double* xs = static_cast<double*>(
+      scope.arena().allocate(total * sizeof(double), alignof(double)));
+  double* ys = static_cast<double*>(
+      scope.arena().allocate(total * sizeof(double), alignof(double)));
   std::vector<std::size_t> head(fans.size(), 0);
-  std::vector<TaggedEdge> out;
-  out.reserve(total);
-  for (std::size_t step = 0; step < total; ++step) {
+  xs[0] = start_x;
+  ys[0] = start_y;
+  for (std::size_t step = 0; step + 1 < total; ++step) {
     std::size_t pick = fans.size();
     for (std::size_t f = 0; f < fans.size(); ++f) {
-      if (head[f] >= fans[f]->edges.size()) continue;
+      if (head[f] >= fans[f].edges.size()) continue;
       if (pick == fans.size() ||
-          edge_less(fans[f]->edges[head[f]], fans[pick]->edges[head[pick]])) {
+          edge_less(fans[f].edges[head[f]], fans[pick].edges[head[pick]])) {
         pick = f;
       }
     }
     CHC_INTERNAL(pick < fans.size(), "merge exhausted fans early");
-    const CombEdge& e = fans[pick]->edges[head[pick]];
-    ++head[pick];
-    out.push_back(TaggedEdge{
-        e.ex, e.ey, owners == nullptr ? nullptr : (*owners)[pick]});
+    const CombEdge& e = fans[pick].edges[head[pick]++];
+    xs[step + 1] = xs[step] + e.ex;
+    ys[step + 1] = ys[step] + e.ey;
   }
-  return out;
-}
-
-std::vector<TaggedEdge> patch_merged(
-    const std::vector<TaggedEdge>& prev,
-    const std::vector<const void*>& removed,
-    const std::vector<const OperandEdges*>& added,
-    const std::vector<const void*>& added_owners) {
-  // The arrivals' edges, sorted and tagged. One added fan (the common
-  // single-swap round) is already sorted — just tag it.
-  std::vector<TaggedEdge> adds;
-  if (added.size() == 1) {
-    adds.reserve(added[0]->edges.size());
-    for (const CombEdge& e : added[0]->edges) {
-      adds.push_back(TaggedEdge{e.ex, e.ey, added_owners[0]});
-    }
-  } else if (!added.empty()) {
-    adds = merge_fans(added, &added_owners);
-  }
-
-  // One pass: drop the departed owners' edges (`removed` is tiny — a
-  // linear membership test beats any set) while two-way merging the
-  // arrivals. Ties keep the surviving edge first (tied edges are bitwise
-  // equal, so the preference is cosmetic).
-  std::vector<TaggedEdge> out;
-  out.reserve(prev.size() + adds.size());
-  std::size_t j = 0;
-  for (const TaggedEdge& e : prev) {
-    bool drop = false;
-    for (const void* r : removed) drop |= (e.owner == r);
-    if (drop) continue;
-    while (j < adds.size() && angle_less(adds[j].ex, adds[j].ey, e.ex, e.ey)) {
-      out.push_back(adds[j++]);
-    }
-    out.push_back(e);
-  }
-  out.insert(out.end(), adds.begin() + static_cast<std::ptrdiff_t>(j),
-             adds.end());
-  return out;
-}
-
-Polytope emit_walk(double start_x, double start_y,
-                   const std::vector<TaggedEdge>& merged, double rel_tol) {
-  if (merged.empty()) {
-    return Polytope::from_points({Vec{start_x, start_y}}, rel_tol);
-  }
-
-  // The walk closes back at `start` because each fan's edges sum to zero,
-  // so the last (maximal) edge is dropped rather than emitting a
-  // near-duplicate of the start vertex. The walk lives in arena scratch
-  // until canonicalization picks the surviving vertices.
-  common::ArenaScope scope;
-  const std::size_t n = merged.size();
-  double* xs = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  double* ys = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  xs[0] = start_x;
-  ys[0] = start_y;
-  for (std::size_t step = 0; step + 1 < n; ++step) {
-    xs[step + 1] = xs[step] + merged[step].ex;
-    ys[step + 1] = ys[step] + merged[step].ey;
-  }
-  return Polytope::from_convex_walk_xy(xs, ys, n, rel_tol);
-}
-
-Polytope combine2d(const std::vector<const OperandEdges*>& fans,
-                   double rel_tol) {
-  CHC_CHECK(!fans.empty(), "combine2d over zero operand fans");
-  double start_x = 0.0, start_y = 0.0;
-  for (const OperandEdges* f : fans) {
-    start_x += f->start_x;
-    start_y += f->start_y;
-  }
-  return emit_walk(start_x, start_y, merge_fans(fans, nullptr), rel_tol);
+  return Polytope::from_convex_walk_xy(xs, ys, total, rel_tol);
 }
 
 }  // namespace chc::geo

@@ -1,96 +1,32 @@
-// The d = 2 linear-combination engine, factored so per-operand AND
-// cross-round work is reusable across CC rounds.
+// The d = 2 linear-combination engine.
 //
 // L in the plane is a k-way Minkowski sum: the boundary of the sum is the
 // angle-sorted concatenation of every operand's (scaled) edge vectors,
 // walked from the sum of the operands' bottom-most vertices. The engine
-// splits that into three stages:
+// builds each operand's edge fan — its CCW vertex loop scaled by its
+// weight, from the bottom-most vertex, whose edges a canonical polytope
+// already lists in angle order (the fan starts in [0, π), ends in [π, 2π),
+// and strict convexity makes the order strict, so one is_sorted pass
+// replaces a sort) — then k-way merges the fans while walking the merged
+// edges, and canonicalizes the walk (Polytope::from_convex_walk_xy).
 //
-//  * build_operand_edges(p, w) — everything that depends on ONE operand:
-//    its CCW vertex loop scaled by w, the bottom-most start vertex, and the
-//    edge fan. A canonical polytope's edges enumerated from the bottom-most
-//    vertex are already angle-sorted (the fan starts in [0, π), ends in
-//    [π, 2π), and strict convexity makes the order strict), so the fan is
-//    verified with one is_sorted pass instead of sorted.
-//
-//  * merge_fans / patch_merged — the sorted multiset of all operands'
-//    edges, each tagged with an opaque owner. merge_fans builds it from
-//    scratch (k-way merge); patch_merged derives round r+1's multiset from
-//    round r's by stripping the departed owners' edges and two-way merging
-//    the arrivals' fans — O(E) instead of O(k·E).
-//
-//  * emit_walk — the boundary walk from the summed start vertex over the
-//    merged sequence, and canonicalization (Polytope::from_walk2d).
-//
-// Bit-identity of the incremental path: fans are pure functions of
-// (polytope, weight), so a cached fan is bitwise the fan a rebuild would
-// produce. The merge comparator is value-based — pseudo-angle half, cross
-// product, then the raw IEEE bit patterns of (ex, ey) — so any two edges
-// it ranks equal are bitwise-identical vectors, which makes every sorted
-// arrangement of a given edge multiset walk to the same vertex bits.
-// A patched sequence is a sorted arrangement of exactly the multiset a
-// full merge would sort, and emit_walk accumulates the start vertex in
-// caller (operand) order in both paths, so full and incremental L agree
-// bit-for-bit — DESIGN.md §14 has the argument in full.
+// The merge comparator is value-based — pseudo-angle half, cross product,
+// then the raw IEEE bit patterns of (ex, ey) — so any two edges it ranks
+// equal are bitwise-identical vectors, and the merged sequence depends on
+// the edge multiset alone, not on the order the operands are passed in.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "geometry/polytope.hpp"
 
 namespace chc::geo {
 
-/// One directed boundary edge of a scaled operand polygon.
-struct CombEdge {
-  double ex = 0.0, ey = 0.0;
-};
-
-/// The angle-sorted edge fan of one scaled operand — all the per-operand
-/// state the combination merge consumes.
-struct OperandEdges {
-  double start_x = 0.0;  ///< scaled bottom-most (min y, then min x) vertex
-  double start_y = 0.0;
-  std::vector<CombEdge> edges;  ///< sorted by pseudo-angle (strictly)
-};
-
-/// One edge of a merged combination, tagged with the operand it came from
-/// (an opaque pointer chosen by the caller; nullptr when no later patching
-/// is intended).
-struct TaggedEdge {
-  double ex = 0.0, ey = 0.0;
-  const void* owner = nullptr;
-};
-
-/// Builds the edge fan of `p` scaled by `weight` (> 0). Deterministic in
-/// (p, weight) alone.
-OperandEdges build_operand_edges(const Polytope& p, double weight);
-
-/// K-way merges the fans' edges into one sorted tagged sequence.
-/// `owners`, when non-null, must align with `fans` and supplies the tag
-/// for each fan's edges.
-std::vector<TaggedEdge> merge_fans(const std::vector<const OperandEdges*>& fans,
-                                   const std::vector<const void*>* owners);
-
-/// Derives the next round's merged sequence from `prev`: drops every edge
-/// whose owner is in `removed`, then two-way merges the `added` fans
-/// (tagged with `added_owners`, aligned). Linear in |prev| + |added|.
-std::vector<TaggedEdge> patch_merged(
-    const std::vector<TaggedEdge>& prev,
-    const std::vector<const void*>& removed,
-    const std::vector<const OperandEdges*>& added,
-    const std::vector<const void*>& added_owners);
-
-/// The boundary walk over a merged sequence, from the summed start vertex,
-/// and canonicalization. The caller accumulates (start_x, start_y) over
-/// the operands' fan starts IN OPERAND ORDER — the accumulation order is
-/// part of the bit contract between the full and incremental paths.
-Polytope emit_walk(double start_x, double start_y,
-                   const std::vector<TaggedEdge>& merged, double rel_tol);
-
-/// L over prebuilt fans, taken in caller (operand) order: merge_fans +
-/// emit_walk. `fans` must be non-empty; entries must outlive the call.
-Polytope combine2d(const std::vector<const OperandEdges*>& fans,
-                   double rel_tol);
+/// L (Definition 2) of non-empty 2-D polytopes, as validated by
+/// linear_combination: ⊕ weights[i] · polys[i], skipping zero weights. The
+/// start vertex is summed in operand order.
+Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
+                                   const std::vector<double>& weights,
+                                   double rel_tol);
 
 }  // namespace chc::geo

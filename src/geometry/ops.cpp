@@ -192,26 +192,6 @@ std::vector<Vec> ccw2(const std::vector<Vec>& poly) {
   return poly;
 }
 
-// --- Engine: k-way Minkowski edge merge (d = 2) --------------------------
-
-/// L for d = 2 by the fan-merge engine (combine2d.hpp): per-operand edge
-/// fans built fresh, then one k-way rotating merge. The interned round
-/// combination shares the same merge but reuses cached fans across rounds.
-Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
-                                   const std::vector<double>& weights,
-                                   double rel_tol) {
-  std::vector<OperandEdges> fans;
-  fans.reserve(polys.size());
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    fans.push_back(build_operand_edges(polys[i], weights[i]));
-  }
-  std::vector<const OperandEdges*> ptrs;
-  ptrs.reserve(fans.size());
-  for (const OperandEdges& f : fans) ptrs.push_back(&f);
-  return combine2d(ptrs, rel_tol);
-}
-
 // --- Engine: balanced merge tree (general d) ------------------------------
 
 /// Candidate budget per pruning call in the merge tree. One huge

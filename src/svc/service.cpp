@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "geometry/intern.hpp"
 #include "obs/trace.hpp"
 
 namespace chc::svc {
@@ -121,10 +120,6 @@ struct ConsensusService::Impl {
   }
 
   void worker_loop(std::size_t s) {
-    // Each shard owns a private memo table; installed thread-locally it
-    // serves every combination this worker computes, contention-free.
-    geo::ComboCache memo(cfg.combo_cache_capacity);
-    geo::ComboCache* prev = geo::set_thread_combo_cache(&memo);
     Shard& sh = *shards[s];
     for (;;) {
       InstanceSpec spec;
@@ -147,7 +142,6 @@ struct ConsensusService::Impl {
       }
       idle.notify_all();
     }
-    geo::set_thread_combo_cache(prev);
   }
 
   InstanceResult run_instance(InstanceSpec spec, std::size_t s) {

@@ -15,10 +15,9 @@
 // alone — at any shard count, under any cross-instance interleaving. What
 // IS shared across instances is deliberately value-transparent state: the
 // process-global polytope intern table (bounded LRU) and the geometry
-// thread pool. Each shard additionally owns a private combination memo
-// table (geo::ComboCache, installed thread-locally) so shards never
-// serialize on the global memo mutex; memo hits return interned values a
-// fresh computation would produce, so results cannot differ. The
+// thread pool. Each shard worker, like every thread, has its own unlocked
+// combination memo (geometry/intern.hpp); memo hits return interned values
+// a fresh computation would produce, so results cannot differ. The
 // differential suite in tests/svc enforces all of this bit-for-bit.
 //
 // Backpressure: per-shard queues are bounded (ServiceConfig::queue_capacity).
@@ -70,11 +69,6 @@ struct ServiceConfig {
   std::size_t shards = 0;
   /// Bounded per-shard FIFO run-queue capacity (backpressure threshold).
   std::size_t queue_capacity = 64;
-  /// Capacity of each shard's private combination memo table. Sized for
-  /// same-round duplicate combinations across the shard's instances; an
-  /// oversized memo pins dead rounds and evicts the live working set
-  /// (see ComboCache's capacity note).
-  std::size_t combo_cache_capacity = 64;
   /// Optional admission/completion counters (svc.* names).
   obs::Registry* metrics = nullptr;
   /// When set, each traced instance's stream is also written to

@@ -290,8 +290,8 @@ NodeRuntime::InstanceStatus NodeRuntime::status(std::uint64_t id) const {
   s.known = true;
   s.decided = inst.decided;
   s.failed = inst.failed;
-  const auto& hist = inst.cc().history();
-  s.round = hist.empty() ? 0 : hist.size() - 1;
+  const std::size_t done = inst.cc().completed_rounds();
+  s.round = done == 0 ? 0 : done - 1;
   if (inst.decided && inst.cc().decision().has_value()) {
     s.decision = inst.cc().decision()->vertices();
   }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.hpp"
 
@@ -65,6 +66,14 @@ TEST(CCConfig, InvalidParamsRejected) {
                ContractViolation);
   EXPECT_THROW(
       (CCConfig{.n = 5, .f = 1, .d = 1, .eps = 0.1, .input_magnitude = 0.0})
+          .t_end(),
+      ContractViolation);
+  // Non-finite bounds: ceil(+inf) rounds cannot be cast to a round count.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((CCConfig{.n = 5, .f = 1, .d = 1, .eps = inf}).t_end(),
+               ContractViolation);
+  EXPECT_THROW(
+      (CCConfig{.n = 5, .f = 1, .d = 1, .eps = 0.1, .input_magnitude = inf})
           .t_end(),
       ContractViolation);
 }

@@ -97,7 +97,7 @@ TEST(CCInbox, StaleRoundMessagesAreDroppedAndDecisionClearsBuffer) {
   deliver_round(p, ctx, 1, 1, 0.0, 0.5);
   deliver_round(p, ctx, 2, 1, 0.5, 1.0);
   EXPECT_EQ(p.buffered_rounds(), 1u);
-  EXPECT_EQ(p.history().size(), 2u);  // h[0], h[1]
+  EXPECT_EQ(p.completed_rounds(), 2u);  // h[0], h[1]
 
   // Regression: the slow peer's round-1 copy arrives after round 1
   // completed. It used to re-create inbox_[1] permanently.
@@ -106,7 +106,7 @@ TEST(CCInbox, StaleRoundMessagesAreDroppedAndDecisionClearsBuffer) {
 
   // One more round-2 message completes round 2; round 3 begins.
   deliver_round(p, ctx, 1, 2, 0.0, 1.0);
-  EXPECT_EQ(p.history().size(), 3u);
+  EXPECT_EQ(p.completed_rounds(), 3u);
   EXPECT_FALSE(p.decision().has_value());
 
   // Round 3 = t_end completes: decision reached, buffer fully cleared.
@@ -136,7 +136,7 @@ TEST(CCInbox, FutureRoundMessagesStayBufferedUntilReached) {
   deliver_round(p, ctx, 2, 3, 0.0, 1.0);
   deliver_round(p, ctx, 3, 3, 0.0, 1.0);
   EXPECT_EQ(p.buffered_rounds(), 1u);
-  EXPECT_TRUE(p.history().empty());
+  EXPECT_EQ(p.completed_rounds(), 0u);
 
   deliver_input(p, ctx, 1, 0.75);
   deliver_input(p, ctx, 2, 0.5);  // round 0 done, round 1 begins

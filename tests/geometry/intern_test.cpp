@@ -1,15 +1,16 @@
-// Intern table bounding and combo-cache sharding.
+// Intern table bounding and the per-thread combination memo.
 //
-// PR 2 left the intern table process-global and unbounded: every distinct
-// polytope value ever interned kept a weak_ptr (and thus a live control
-// block) in the table forever, so a long multi-instance run grew memory
-// monotonically. The table is now LRU-bounded; these tests pin the bound,
-// the LRU order, handle stability across eviction, and the per-thread
-// ComboCache override the sharded service installs.
+// The intern table is LRU-bounded at kInternTableCapacity so a long
+// multi-instance run cannot grow it monotonically; these tests pin the
+// bound, the LRU order and handle stability across eviction. The
+// combination memo is one FIFO table of kComboMemoCapacity entries per
+// thread; these tests pin that each thread misses on its own memo, that
+// the memo is value-transparent across threads, and its bound.
 #include "geometry/intern.hpp"
 
 #include <gtest/gtest.h>
 
+#include <thread>
 #include <vector>
 
 #include "geometry/polytope.hpp"
@@ -26,95 +27,97 @@ Polytope segment(double lo) {
 class InternTest : public ::testing::Test {
  protected:
   void SetUp() override { clear_intern_caches(); }
-  void TearDown() override {
-    set_intern_capacity(0);  // restore the CHC_INTERN_CAP / builtin default
-    clear_intern_caches();
-  }
+  void TearDown() override { clear_intern_caches(); }
 };
 
 TEST_F(InternTest, TableSizeIsBoundedUnderLongRuns) {
-  set_intern_capacity(8);
+  constexpr std::size_t kValues = kInternTableCapacity + 200;
   std::vector<PolytopeHandle> live;  // keep every handle alive: worst case
-  for (int i = 0; i < 200; ++i) {
+  for (std::size_t i = 0; i < kValues; ++i) {
     live.push_back(intern(segment(static_cast<double>(i))));
-    EXPECT_LE(intern_table_size(), 8u) << "after intern #" << i;
+    ASSERT_LE(intern_table_size(), kInternTableCapacity)
+        << "after intern #" << i;
   }
   const InternStats s = intern_stats();
-  EXPECT_EQ(s.intern_misses, 200u);
-  EXPECT_EQ(s.intern_evictions, 192u);
+  EXPECT_EQ(s.intern_misses, kValues);
+  EXPECT_EQ(s.intern_evictions, 200u);
   // Live handles are untouched by eviction.
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(live[static_cast<std::size_t>(i)]->vertices()[0][0],
-              static_cast<double>(i));
+  for (std::size_t i = 0; i < kValues; ++i) {
+    EXPECT_EQ(live[i]->vertices()[0][0], static_cast<double>(i));
   }
 }
 
 TEST_F(InternTest, EvictionIsLeastRecentlyUsed) {
-  set_intern_capacity(2);
   const PolytopeHandle a = intern(segment(0.0));
   const PolytopeHandle b = intern(segment(1.0));
-  // Touch a: b becomes the LRU victim when c arrives.
-  EXPECT_EQ(intern(segment(0.0)).get(), a.get());
-  const PolytopeHandle c = intern(segment(2.0));
+  // A table's worth of fillers, touching a after each: a stays recent, b
+  // drifts to the LRU end and is the first victim. (A FIFO bound would
+  // evict a as well.)
+  std::vector<PolytopeHandle> fillers;
+  for (std::size_t i = 0; i < kInternTableCapacity; ++i) {
+    fillers.push_back(intern(segment(10.0 + static_cast<double>(i))));
+    ASSERT_EQ(intern(segment(0.0)).get(), a.get()) << "after filler " << i;
+  }
+  // 4098 distinct values in a 4096-entry table: b and the oldest filler.
+  EXPECT_EQ(intern_stats().intern_evictions, 2u);
   EXPECT_EQ(intern(segment(0.0)).get(), a.get());  // still canonical
-  EXPECT_EQ(intern(segment(2.0)).get(), c.get());  // still canonical
   // b was evicted: re-interning its value mints a new canonical object.
   EXPECT_NE(intern(segment(1.0)).get(), b.get());
-}
-
-TEST_F(InternTest, ShrinkingCapacityEvictsImmediately) {
-  set_intern_capacity(16);
-  std::vector<PolytopeHandle> live;
-  for (int i = 0; i < 16; ++i) {
-    live.push_back(intern(segment(static_cast<double>(i))));
-  }
-  EXPECT_EQ(intern_table_size(), 16u);
-  set_intern_capacity(4);
-  EXPECT_EQ(intern_table_size(), 4u);
-  EXPECT_EQ(intern_capacity(), 4u);
 }
 
 TEST_F(InternTest, ThreadLocalComboCacheIsUsedAndTransparent) {
   const std::vector<PolytopeHandle> ops = {intern(segment(0.0)),
                                            intern(segment(1.0))};
-  // Baseline through the process-global cache.
-  const PolytopeHandle global_result =
-      equal_weight_combination_interned(ops);
+  const PolytopeHandle main_result = equal_weight_combination_interned(ops);
 
-  ComboCache local(4);
-  ComboCache* prev = set_thread_combo_cache(&local);
-  ASSERT_EQ(prev, nullptr);
+  // A second thread starts with an empty memo: the same operands miss
+  // there once, then hit. Because operands are interned and main_result
+  // is alive, the recomputed value re-interns onto the main thread's
+  // object — which thread's memo served a call is invisible in results.
   const InternStats before = intern_stats();
-  const PolytopeHandle r1 = equal_weight_combination_interned(ops);
-  const PolytopeHandle r2 = equal_weight_combination_interned(ops);
-  set_thread_combo_cache(prev);
-
-  // The local cache memoized (one miss, one hit) and, because operands are
-  // interned, the recomputed value re-interned onto the same object the
-  // global-cache run produced: the memo table choice is invisible in
-  // results.
+  PolytopeHandle r1, r2;
+  std::thread worker([&] {
+    r1 = equal_weight_combination_interned(ops);
+    r2 = equal_weight_combination_interned(ops);
+  });
+  worker.join();
   const InternStats after = intern_stats();
   EXPECT_EQ(after.combo_misses, before.combo_misses + 1);
   EXPECT_EQ(after.combo_hits, before.combo_hits + 1);
-  EXPECT_EQ(local.size(), 1u);
-  EXPECT_EQ(r1.get(), r2.get());
-  EXPECT_EQ(r1.get(), global_result.get());
+  EXPECT_EQ(r1.get(), main_result.get());
+  EXPECT_EQ(r2.get(), main_result.get());
+
+  // The worker's memo did not touch this thread's: still a hit here.
+  EXPECT_EQ(equal_weight_combination_interned(ops).get(), main_result.get());
+  EXPECT_EQ(intern_stats().combo_hits, after.combo_hits + 1);
 }
 
 TEST_F(InternTest, ComboCacheEvictionRecomputesIdenticalValue) {
-  ComboCache local(1);
-  ComboCache* prev = set_thread_combo_cache(&local);
-  const std::vector<PolytopeHandle> ops_a = {intern(segment(0.0)),
-                                             intern(segment(1.0))};
-  const std::vector<PolytopeHandle> ops_b = {intern(segment(2.0)),
-                                             intern(segment(3.0))};
-  const PolytopeHandle a1 = equal_weight_combination_interned(ops_a);
-  const PolytopeHandle b1 = equal_weight_combination_interned(ops_b);  // evicts a
-  EXPECT_EQ(local.size(), 1u);
-  const PolytopeHandle a2 = equal_weight_combination_interned(ops_a);  // miss
-  set_thread_combo_cache(prev);
-  EXPECT_EQ(a1.get(), a2.get()) << "recomputation re-interned a new value";
-  EXPECT_NE(a1.get(), b1.get());
+  // kComboMemoCapacity + 1 distinct operand pairs.
+  std::vector<std::vector<PolytopeHandle>> rounds;
+  for (std::size_t i = 0; i <= kComboMemoCapacity; ++i) {
+    const double lo = 2.0 * static_cast<double>(i);
+    rounds.push_back({intern(segment(lo)), intern(segment(lo + 1.0))});
+  }
+  std::vector<PolytopeHandle> results;
+  for (std::size_t i = 0; i < kComboMemoCapacity; ++i) {
+    results.push_back(equal_weight_combination_interned(rounds[i]));
+  }
+  EXPECT_EQ(intern_stats().combo_misses, kComboMemoCapacity);
+
+  // A full memo still holds the first combination (a hit does not reorder
+  // the FIFO)...
+  EXPECT_EQ(equal_weight_combination_interned(rounds[0]).get(),
+            results[0].get());
+  EXPECT_EQ(intern_stats().combo_hits, 1u);
+
+  // ...until one more distinct combination evicts it: recomputing misses
+  // and re-interns onto the same object.
+  equal_weight_combination_interned(rounds[kComboMemoCapacity]);
+  const PolytopeHandle again = equal_weight_combination_interned(rounds[0]);
+  EXPECT_EQ(intern_stats().combo_misses, kComboMemoCapacity + 2);
+  EXPECT_EQ(again.get(), results[0].get())
+      << "recomputation re-interned a new value";
 }
 
 }  // namespace

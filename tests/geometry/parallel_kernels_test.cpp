@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <vector>
 
@@ -222,24 +224,35 @@ TEST(Intern, DistinctValuesYieldDistinctHandles) {
 }
 
 TEST(Intern, CombinationMemoizedAcrossOperandOrder) {
-  clear_intern_caches();
-  Rng rng(10200);
-  std::vector<PolytopeHandle> ops;
-  for (int i = 0; i < 3; ++i) {
-    ops.push_back(intern(Polytope::from_points(cloud(rng, 6, 2))));
-  }
-  PolytopeHandle r1 = equal_weight_combination_interned(ops);
-  std::vector<PolytopeHandle> reversed(ops.rbegin(), ops.rend());
-  PolytopeHandle r2 = equal_weight_combination_interned(reversed);
-  EXPECT_EQ(r1.get(), r2.get()) << "memo must be order-insensitive";
-  const InternStats s = intern_stats();
-  EXPECT_EQ(s.combo_misses, 1u);
-  EXPECT_EQ(s.combo_hits, 1u);
+  for (std::size_t d : {2u, 3u}) {
+    SCOPED_TRACE(d);
+    clear_intern_caches();
+    Rng rng(10200 + d);
+    std::vector<PolytopeHandle> ops;
+    for (int i = 0; i < 3; ++i) {
+      ops.push_back(intern(Polytope::from_points(cloud(rng, 6, d))));
+    }
+    PolytopeHandle r1 = equal_weight_combination_interned(ops);
+    std::vector<PolytopeHandle> reversed(ops.rbegin(), ops.rend());
+    PolytopeHandle r2 = equal_weight_combination_interned(reversed);
+    EXPECT_EQ(r1.get(), r2.get()) << "memo must be order-insensitive";
+    const InternStats s = intern_stats();
+    EXPECT_EQ(s.combo_misses, 1u);
+    EXPECT_EQ(s.combo_hits, 1u);
 
-  // And the memoized value is the actual combination.
-  std::vector<Polytope> concrete;
-  for (const auto& h : ops) concrete.push_back(*h);
-  EXPECT_LT(hausdorff(*r1, equal_weight_combination(concrete)), 1e-12);
+    // And the memoized value is bit-for-bit the combination itself.
+    std::vector<Polytope> concrete;
+    for (const auto& h : ops) concrete.push_back(*h);
+    const Polytope full = equal_weight_combination(concrete);
+    ASSERT_EQ(r1->vertices().size(), full.vertices().size());
+    for (std::size_t i = 0; i < full.vertices().size(); ++i) {
+      for (std::size_t c = 0; c < d; ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r1->vertices()[i][c]),
+                  std::bit_cast<std::uint64_t>(full.vertices()[i][c]))
+            << "vertex " << i << " coord " << c;
+      }
+    }
+  }
 }
 
 TEST(Intern, TableDoesNotKeepPolytopesAlive) {

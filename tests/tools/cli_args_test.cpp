@@ -107,13 +107,19 @@ TEST(CliArgs, GarbageRealValueExitsTwo) {
 }
 
 TEST(CliArgs, NodeRejectsBadValuesAndBareInvocation) {
-  // chc_node predates the shared parse_count helper but has the same
-  // contract: strict whole-value parsing, exit 2 + usage on garbage.
+  // chc_node shares the tools' strict parser: whole-value, finite reals,
+  // exit 2 + usage on garbage. The time scale and clock rate must also be
+  // positive; those cases come with a valid --id / --cluster, so a value
+  // that slipped through would start a node (the timeout bounds that).
   for (const char* bad_args :
        {"--id 5x", "--client-port 70000", "--time-scale x",
-        "--definitely-bogus", "--id", ""}) {
-    const CmdResult r =
-        run_cmd(std::string(CHC_TOOL_NODE_BIN) + " " + bad_args);
+        "--definitely-bogus", "--id", "",
+        "--id 0 --cluster 127.0.0.1:1 --time-scale nan",
+        "--id 0 --cluster 127.0.0.1:1 --time-scale -1",
+        "--id 0 --cluster 127.0.0.1:1 --clock-rate inf"}) {
+    const CmdResult r = run_cmd("timeout 10 " +
+                                std::string(CHC_TOOL_NODE_BIN) + " " +
+                                bad_args);
     EXPECT_EQ(r.exit_code, 2) << "chc_node " << bad_args << ": "
                               << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos)

@@ -1,4 +1,5 @@
-// SIGTERM / SIGINT clean-shutdown regression for the real node binary.
+// SIGTERM / SIGINT clean-shutdown regression for the real node binary,
+// and its SUBMIT validation.
 //
 // A terminated chc_node must exit 0 with its trace footers flushed: the
 // recorded trace then passes the offline checker WITHOUT the torn-tail
@@ -146,6 +147,59 @@ TEST(NodeShutdown, TermAndIntFlushFootersNoTornTailNeeded) {
     EXPECT_FALSE(report.truncated_tail) << trace;
   }
 
+  fs::remove_all(trace_dir);
+}
+
+TEST(NodeRpc, SubmitRejectsNonFiniteAndOutOfRangeNumbers) {
+  const fs::path trace_dir =
+      fs::temp_directory_path() /
+      ("chc_node_nonfinite_" + std::to_string(::getpid()));
+  fs::remove_all(trace_dir);
+  fs::create_directories(trace_dir);
+
+  constexpr std::size_t kN = 2;
+  const std::string cluster = "127.0.0.1:" + std::to_string(reserve_port()) +
+                              ",127.0.0.1:" + std::to_string(reserve_port());
+  std::vector<std::uint16_t> rpc_ports;
+  std::vector<pid_t> pids;
+  for (std::size_t i = 0; i < kN; ++i) rpc_ports.push_back(reserve_port());
+  for (std::size_t i = 0; i < kN; ++i) {
+    pids.push_back(spawn_node(i, cluster, rpc_ports[i], trace_dir.string()));
+    ASSERT_GT(pids.back(), 0);
+  }
+
+  // n=2 f=0 d=1: magnitude inf, eps inf, and a NaN input coordinate. The
+  // last line's faulty-id count wraps the expected token count around to
+  // 10, the length of the line itself.
+  const char* kBad[] = {"SUBMIT 1 2 0 1 0.1 7 inf 0 0.1 0.2",
+                        "SUBMIT 2 2 0 1 inf 7 1 0 0.1 0.2",
+                        "SUBMIT 3 2 0 1 0.1 7 1 0 nan 0.2",
+                        "SUBMIT 4 2 0 4 0.1 7 1 18446744073709551609 0"};
+  std::vector<chc::transport::LineClient> rpc(kN);
+  const auto boot_dl = Clock::now() + std::chrono::seconds(10);
+  for (std::size_t i = 0; i < kN; ++i) {
+    while (!rpc[i].connected() && Clock::now() < boot_dl) {
+      if (!rpc[i].connect_to("127.0.0.1", rpc_ports[i], 200)) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+    }
+    ASSERT_TRUE(rpc[i].connected()) << "node " << i << " never came up";
+    for (const char* submit : kBad) {
+      const auto reply = rpc[i].request(submit, 2000);
+      ASSERT_TRUE(reply.has_value()) << "node " << i << ": " << submit;
+      EXPECT_EQ(reply->rfind("ERR", 0), 0u)
+          << "node " << i << ": " << submit << " -> " << *reply;
+    }
+  }
+
+  // The nodes stay up and shut down cleanly.
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(::kill(pids[i], SIGTERM), 0);
+  for (std::size_t i = 0; i < kN; ++i) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pids[i], &status, 0), pids[i]);
+    EXPECT_TRUE(WIFEXITED(status)) << "node " << i << " did not exit";
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "node " << i;
+  }
   fs::remove_all(trace_dir);
 }
 

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bcc/presets.hpp"
+#include "cli.hpp"
 #include "obs/metrics.hpp"
 
 namespace {
@@ -38,28 +39,6 @@ void usage() {
                "  chc_byz --sweep [--seed N] [--out-dir DIR] [--report FILE]\n"
                "  chc_byz --fuzz N [--seed BASE] [--out-dir DIR]\n"
                "          [--report FILE]\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 void write_trace(const bcc::ByzRunResult& r, const std::string& path) {
@@ -113,12 +92,13 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] { return cli::count_arg(arg, next(), usage); };
     if (arg == "--list") list = true;
     else if (arg == "--all") all = true;
     else if (arg == "--sweep") sweep = true;
     else if (arg == "--preset") preset_name = next();
-    else if (arg == "--seed") seed = parse_count(arg, next());
-    else if (arg == "--fuzz") fuzz = parse_count(arg, next());
+    else if (arg == "--seed") seed = count();
+    else if (arg == "--fuzz") fuzz = count();
     else if (arg == "--out") out = next();
     else if (arg == "--out-dir") out_dir = next();
     else if (arg == "--report") report = next();

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bcc/replay.hpp"
+#include "cli.hpp"
 #include "core/replay.hpp"
 #include "obs/checker.hpp"
 
@@ -30,40 +31,6 @@ void usage() {
          "  --max-violations N  report up to N violations (default 16)\n"
          "  --replay            also re-execute from the header and require\n"
          "                      a byte-identical trace\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 std::string next_value(int argc, char** argv, int& i) {
@@ -85,9 +52,10 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--tol") {
-      opts.tol = parse_real(arg, next_value(argc, argv, i));
+      opts.tol = chc::cli::real_arg(arg, next_value(argc, argv, i), usage);
     } else if (arg == "--max-violations") {
-      opts.max_violations = parse_count(arg, next_value(argc, argv, i));
+      opts.max_violations =
+          chc::cli::count_arg(arg, next_value(argc, argv, i), usage);
     } else if (arg == "--replay") {
       replay = true;
     } else if (arg == "--help" || arg == "-h") {

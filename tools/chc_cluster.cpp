@@ -61,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "geometry/polytope.hpp"
@@ -94,40 +95,6 @@ void usage() {
          "                   [--nemesis NAME|all] [--list-nemesis]\n"
          "                   [--fuzz CYCLES] [--soak-minutes M]\n"
          "nemesis presets fix --nodes/--f/--d/--eps; see --list-nemesis\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 double mono_now() {
@@ -633,27 +600,29 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--nodes") opt.nodes = parse_count(arg, next());
-    else if (arg == "--f") opt.f = parse_count(arg, next());
-    else if (arg == "--d") opt.d = parse_count(arg, next());
-    else if (arg == "--eps") opt.eps = parse_real(arg, next());
-    else if (arg == "--instances") opt.instances = parse_count(arg, next());
-    else if (arg == "--seed") opt.seed = parse_count(arg, next());
+    const auto count = [&] { return cli::count_arg(arg, next(), usage); };
+    const auto real = [&] { return cli::real_arg(arg, next(), usage); };
+    if (arg == "--nodes") opt.nodes = count();
+    else if (arg == "--f") opt.f = count();
+    else if (arg == "--d") opt.d = count();
+    else if (arg == "--eps") opt.eps = real();
+    else if (arg == "--instances") opt.instances = count();
+    else if (arg == "--seed") opt.seed = count();
     else if (arg == "--trace-dir") opt.trace_dir = next();
     else if (arg == "--node-bin") opt.node_bin = next();
     else if (arg == "--no-kill") opt.kill = false;
-    else if (arg == "--soak") opt.soak = parse_real(arg, next());
-    else if (arg == "--timeout") opt.timeout = parse_real(arg, next());
+    else if (arg == "--soak") opt.soak = real();
+    else if (arg == "--timeout") opt.timeout = real();
     else if (arg == "--time-scale") {
-      opt.time_scale = parse_real(arg, next());
+      opt.time_scale = real();
       opt.time_scale_set = true;
     }
     else if (arg == "--report") opt.report = next();
     else if (arg == "--nemesis") opt.nemesis = next();
     else if (arg == "--list-nemesis") opt.list_nemesis = true;
-    else if (arg == "--fuzz") opt.fuzz = parse_count(arg, next());
+    else if (arg == "--fuzz") opt.fuzz = count();
     else if (arg == "--soak-minutes") {
-      opt.soak_minutes = parse_real(arg, next());
+      opt.soak_minutes = real();
     }
     else if (arg == "--help" || arg == "-h") {
       usage();

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "nemesis/presets.hpp"
 #include "nemesis/runner.hpp"
 #include "obs/metrics.hpp"
@@ -36,28 +37,6 @@ void usage() {
                "              [--report FILE]\n"
                "  chc_nemesis --fuzz N [--seed BASE] [--out-dir DIR]\n"
                "              [--report FILE]\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 void write_trace(const nemesis::ScenarioResult& r, const std::string& path) {
@@ -98,11 +77,12 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] { return cli::count_arg(arg, next(), usage); };
     if (arg == "--list") list = true;
     else if (arg == "--all") all = true;
     else if (arg == "--preset") preset_name = next();
-    else if (arg == "--seed") seed = parse_count(arg, next());
-    else if (arg == "--fuzz") fuzz = parse_count(arg, next());
+    else if (arg == "--seed") seed = count();
+    else if (arg == "--fuzz") fuzz = count();
     else if (arg == "--out") out = next();
     else if (arg == "--out-dir") out_dir = next();
     else if (arg == "--report") report = next();

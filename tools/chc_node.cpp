@@ -45,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "obs/metrics.hpp"
 #include "transport/faulty.hpp"
 #include "transport/node.hpp"
@@ -84,22 +85,6 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (char ch : s) {
-    if (ch < '0' || ch > '9' || out > (UINT64_MAX - 9) / 10) return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty();
-}
-
 /// SUBMIT argument vector -> InstanceSpec. Returns an error string, empty
 /// on success.
 std::string parse_submit(const std::vector<std::string>& tok,
@@ -108,13 +93,15 @@ std::string parse_submit(const std::vector<std::string>& tok,
   if (tok.size() < 9) return "SUBMIT needs at least 8 arguments";
   std::uint64_t n = 0, f = 0, d = 0, nf = 0;
   double eps = 0.0, mag = 0.0;
-  if (!parse_u64(tok[1], spec.id) || !parse_u64(tok[2], n) ||
-      !parse_u64(tok[3], f) || !parse_u64(tok[4], d) ||
-      !parse_f64(tok[5], eps) || !parse_u64(tok[6], spec.seed) ||
-      !parse_f64(tok[7], mag) || !parse_u64(tok[8], nf)) {
+  if (!cli::parse_count(tok[1], spec.id) || !cli::parse_count(tok[2], n) ||
+      !cli::parse_count(tok[3], f) || !cli::parse_count(tok[4], d) ||
+      !cli::parse_real(tok[5], eps) || !cli::parse_count(tok[6], spec.seed) ||
+      !cli::parse_real(tok[7], mag) || !cli::parse_count(tok[8], nf)) {
     return "malformed SUBMIT scalar";
   }
-  if (n == 0 || n > 64 || d == 0 || d > 8 || eps <= 0.0 || mag <= 0.0) {
+  // nf <= n also keeps the count below from wrapping around.
+  if (n == 0 || n > 64 || d == 0 || d > 8 || nf > n || eps <= 0.0 ||
+      mag <= 0.0) {
     return "implausible instance parameters";
   }
   const std::size_t want = 9 + nf + n * d;
@@ -127,7 +114,7 @@ std::string parse_submit(const std::vector<std::string>& tok,
   spec.faulty.clear();
   for (std::uint64_t i = 0; i < nf; ++i) {
     std::uint64_t p = 0;
-    if (!parse_u64(tok[9 + i], p) || p >= n) return "bad faulty id";
+    if (!cli::parse_count(tok[9 + i], p) || p >= n) return "bad faulty id";
     spec.faulty.push_back(p);
   }
   spec.inputs.clear();
@@ -135,7 +122,7 @@ std::string parse_submit(const std::vector<std::string>& tok,
   for (std::uint64_t p = 0; p < n; ++p) {
     geo::Vec v(d);
     for (std::uint64_t k = 0; k < d; ++k) {
-      if (!parse_f64(tok[at++], v[k])) return "bad input coordinate";
+      if (!cli::parse_real(tok[at++], v[k])) return "bad input coordinate";
     }
     spec.inputs.push_back(std::move(v));
   }
@@ -234,14 +221,15 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     bool ok = true;
-    if (arg == "--id") ok = parse_u64(next(), id);
+    if (arg == "--id") ok = cli::parse_count(next(), id);
     else if (arg == "--cluster") cluster_spec = next();
-    else if (arg == "--client-port") ok = parse_u64(next(), client_port);
-    else if (arg == "--epoch") ok = parse_u64(next(), epoch);
+    else if (arg == "--client-port") ok = cli::parse_count(next(), client_port);
+    else if (arg == "--epoch") ok = cli::parse_count(next(), epoch);
     else if (arg == "--trace-dir") trace_dir = next();
-    else if (arg == "--time-scale") ok = parse_f64(next(), time_scale);
-    else if (arg == "--clock-rate") {
-      ok = parse_f64(next(), clock_rate) && clock_rate > 0.0;
+    else if (arg == "--time-scale") {
+      ok = cli::parse_real(next(), time_scale) && time_scale > 0.0;
+    } else if (arg == "--clock-rate") {
+      ok = cli::parse_real(next(), clock_rate) && clock_rate > 0.0;
     }
     else if (arg == "--help" || arg == "-h") {
       usage();
@@ -313,7 +301,7 @@ int main(int argc, char** argv) {
       }
       if (tok[0] == "STATUS" && tok.size() == 2) {
         std::uint64_t iid = 0;
-        if (!parse_u64(tok[1], iid)) return "ERR bad instance id";
+        if (!cli::parse_count(tok[1], iid)) return "ERR bad instance id";
         return format_status(node.status(iid));
       }
       if (tok[0] == "STATUS" && tok.size() == 1) {

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/rng.hpp"
 #include "core/lossy.hpp"
 #include "core/report.hpp"
@@ -38,40 +39,6 @@ void usage() {
          "             [--drop P --dup P --reorder P] [--unreliable]\n"
          "             [--report FILE]\n"
          "  chc_record --fuzz N --out-dir DIR [--seed BASE]\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 struct Cli {
@@ -172,16 +139,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    const auto count = [&] { return cli::count_arg(arg, next(), usage); };
+    const auto real = [&] { return cli::real_arg(arg, next(), usage); };
     if (arg == "--out") cli.out = next();
     else if (arg == "--out-dir") cli.out_dir = next();
     else if (arg == "--report") cli.report = next();
     else if (arg == "--preset") cli.preset = next();
-    else if (arg == "--seed") cli.seed = parse_count(arg, next());
-    else if (arg == "--fuzz") cli.fuzz = parse_count(arg, next());
-    else if (arg == "--n") cli.lc.base.cc.n = parse_count(arg, next());
-    else if (arg == "--f") cli.lc.base.cc.f = parse_count(arg, next());
-    else if (arg == "--d") cli.lc.base.cc.d = parse_count(arg, next());
-    else if (arg == "--eps") cli.lc.base.cc.eps = parse_real(arg, next());
+    else if (arg == "--seed") cli.seed = count();
+    else if (arg == "--fuzz") cli.fuzz = count();
+    else if (arg == "--n") cli.lc.base.cc.n = count();
+    else if (arg == "--f") cli.lc.base.cc.f = count();
+    else if (arg == "--d") cli.lc.base.cc.d = count();
+    else if (arg == "--eps") cli.lc.base.cc.eps = real();
     else if (arg == "--crash") {
       cli.have_crash = true;
       if (!parse_crash(next(), cli.lc.base.crash_style)) {
@@ -196,13 +165,13 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--drop") {
       cli.have_policy = true;
-      cli.lc.policy.link.drop_rate = parse_real(arg, next());
+      cli.lc.policy.link.drop_rate = real();
     } else if (arg == "--dup") {
       cli.have_policy = true;
-      cli.lc.policy.link.dup_rate = parse_real(arg, next());
+      cli.lc.policy.link.dup_rate = real();
     } else if (arg == "--reorder") {
       cli.have_policy = true;
-      cli.lc.policy.link.reorder_rate = parse_real(arg, next());
+      cli.lc.policy.link.reorder_rate = real();
     } else if (arg == "--unreliable") {
       cli.unreliable = true;
     } else if (arg == "--help" || arg == "-h") {

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "core/lossy.hpp"
 #include "net/policy.hpp"
 #include "obs/metrics.hpp"
@@ -68,28 +69,6 @@ svc::InstanceSpec make_spec(const std::string& preset, std::uint64_t i,
   return spec;
 }
 
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -110,10 +89,11 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--instances") instances = parse_count(arg, next());
-    else if (arg == "--shards") shards = parse_count(arg, next());
-    else if (arg == "--queue") queue = parse_count(arg, next());
-    else if (arg == "--seed") seed_base = parse_count(arg, next());
+    const auto count = [&] { return cli::count_arg(arg, next(), usage); };
+    if (arg == "--instances") instances = count();
+    else if (arg == "--shards") shards = count();
+    else if (arg == "--queue") queue = count();
+    else if (arg == "--seed") seed_base = count();
     else if (arg == "--preset") preset = next();
     else if (arg == "--trace-dir") trace_dir = next();
     else if (arg == "--report") report = next();

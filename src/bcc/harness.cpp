@@ -43,8 +43,9 @@ core::LossyRunOutput run_bcc_custom(const ByzRunConfig& bc,
   cfg.input_magnitude =
       std::max(rc.cc.input_magnitude, workload.correct_magnitude);
 
+  const obs::TraceHeader header = make_byz_trace_header(bc, cfg, workload);
   if (bc.lossy.tracer != nullptr && bc.lossy.tracer->enabled()) {
-    bc.lossy.tracer->line(to_jsonl(make_byz_trace_header(bc, cfg, workload)));
+    bc.lossy.tracer->line(to_jsonl(header));
   }
 
   // Byzantine processes do not crash — crash_style is deliberately not
@@ -86,11 +87,10 @@ core::LossyRunOutput run_bcc_custom(const ByzRunConfig& bc,
         m.gauge("bcc.max_round").set(static_cast<double>(o.trace->max_round()));
       });
 
-  // The crash-specific I_Z floor does not apply: BCC's certificate is the
-  // shared decision / validity / ε-agreement half over the fault-free
-  // processes.
-  out.cert = core::certify_outputs(*out.trace, out.correct,
-                                   out.correct_inputs, cfg.eps);
+  // The same judge as every crash run; the "bcc" protocol in the header
+  // leaves the crash-specific I_Z floor out, as the checker does.
+  out.cert =
+      core::certify(*out.trace, out.correct, out.correct_inputs, header);
   return out;
 }
 

@@ -11,10 +11,11 @@
 // run is replayable by bcc/replay.hpp and checkable by obs::TraceChecker's
 // Byzantine mode.
 //
-// The returned Certificate is core::certify_outputs: all_decided /
-// validity / ε-agreement over the fault-free processes exactly as in the
-// crash harness. The I_Z optimality floor is crash-specific and is left
-// unset (optimality = false, iz_measure = 0).
+// The returned Certificate comes from the verification oracle that judges
+// every crash run (core::certify over the protocol = "bcc" header):
+// all_decided / validity / ε-agreement exactly as in the crash harness.
+// The I_Z optimality floor is crash-specific and is left unset
+// (optimality = false, iz_measure = 0).
 #pragma once
 
 #include <cstdint>

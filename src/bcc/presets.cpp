@@ -183,7 +183,7 @@ ByzRunResult run_byz_preset(const ByzPreset& preset, std::uint64_t seed,
     if (out.trace->of(p).round0_empty) ++r.round0_empty;
   }
 
-  r.check = obs::check_trace_lines(r.trace_lines);
+  r.check = obs::check_sink(sink);
   const core::ReplayResult rep = replay_trace_lines(r.trace_lines);
   r.replay_identical = rep.identical;
 

@@ -139,70 +139,75 @@ std::vector<geo::Polytope> replay_matrix_evolution(const TraceCollector& trace,
   return v;
 }
 
-geo::Polytope compute_iz(const TraceCollector& trace,
-                         const std::vector<sim::ProcessId>& procs,
-                         std::size_t f, double rel_tol) {
-  CHC_CHECK(!procs.empty(), "need at least one process for Z");
-  std::vector<obs::View> views;
-  views.reserve(procs.size());
-  for (sim::ProcessId p : procs) {
-    const auto& view = trace.of(p).round0_view;
-    CHC_CHECK(view.has_value(), "process has no recorded round-0 view");
-    views.emplace_back(view->begin(), view->end());
+namespace {
+
+/// The judge's record of the collector: every incarnation's round-0 view
+/// and decision (a retired incarnation crashed), no per-round snapshots.
+obs::ExecutionRecord execution_record(
+    const TraceCollector& trace, const obs::TraceHeader& header,
+    const std::vector<geo::Vec>& validity_inputs) {
+  obs::ExecutionRecord rec;
+  rec.header = header;
+  rec.validity_inputs = validity_inputs;
+  rec.procs.resize(trace.n());
+  for (sim::ProcessId p = 0; p < trace.n(); ++p) {
+    const std::vector<ProcessTrace>& incs = trace.incarnations(p);
+    for (std::size_t k = 0; k < incs.size(); ++k) {
+      const ProcessTrace& pt = incs[k];
+      obs::Incarnation& inc = rec.procs[p].emplace_back();
+      inc.crashed = k + 1 < incs.size();
+      if (pt.round0_view.has_value()) {
+        inc.has_round0 = true;
+        inc.round0_empty = pt.round0_empty;
+        for (const auto& [origin, x] : *pt.round0_view) {
+          inc.view.emplace(origin, x);
+        }
+      }
+      if (pt.decision.has_value()) {
+        inc.decided = true;
+        inc.decision = *pt.decision;
+      }
+    }
   }
-  std::vector<const obs::View*> refs;
-  refs.reserve(views.size());
-  for (const obs::View& v : views) refs.push_back(&v);
-  return obs::compute_iz(refs, f, rel_tol);
+  return rec;
 }
 
-Certificate certify_outputs(const TraceCollector& trace,
-                            const std::vector<sim::ProcessId>& correct,
-                            const std::vector<geo::Vec>& validity_inputs,
-                            double eps, double check_tol) {
+}  // namespace
+
+Certificate certify(const TraceCollector& trace,
+                    const std::vector<sim::ProcessId>& correct,
+                    const std::vector<geo::Vec>& validity_inputs,
+                    const obs::TraceHeader& header, double check_tol) {
   CHC_CHECK(!correct.empty(), "need at least one correct process");
   CHC_CHECK(!validity_inputs.empty(), "validity needs at least one input");
+  CHC_CHECK(header.n == trace.n(), "header and trace disagree on n");
+  const obs::CheckReport verdict =
+      obs::judge(execution_record(trace, header, validity_inputs),
+                 obs::CheckOptions{.tol = check_tol});
+
   Certificate cert;
   cert.rounds = trace.max_round();
+  cert.validity = verdict.decisions.validity;
+  cert.agreement = verdict.decisions.agreement;
+  cert.optimality = verdict.decisions.optimality;
+  cert.max_pairwise_hausdorff = verdict.decisions.max_pairwise_hausdorff;
+  cert.iz_measure = verdict.iz_measure;
 
   cert.all_decided = true;
-  std::vector<const geo::Polytope*> outputs;
+  std::vector<double> measures;
   for (sim::ProcessId p : correct) {
     const auto& d = trace.of(p).decision;
-    if (!d.has_value()) {
+    if (d.has_value()) {
+      measures.push_back(d->measure());
+    } else {
       cert.all_decided = false;
-      continue;
-    }
-    outputs.push_back(&*d);
-  }
-  if (outputs.empty()) return cert;
-
-  // Validity: every output inside the hull of the validity inputs
-  // (Theorem 2).
-  const geo::Polytope hull = geo::Polytope::from_points(validity_inputs);
-  cert.correct_hull_measure = hull.measure();
-  cert.validity = true;
-  for (const geo::Polytope* out : outputs) {
-    if (!hull.contains(*out, check_tol)) cert.validity = false;
-  }
-
-  // ε-agreement: pairwise Hausdorff distance below ε (Theorem 2).
-  cert.max_pairwise_hausdorff = 0.0;
-  for (std::size_t a = 0; a < outputs.size(); ++a) {
-    for (std::size_t b = a + 1; b < outputs.size(); ++b) {
-      cert.max_pairwise_hausdorff =
-          std::max(cert.max_pairwise_hausdorff,
-                   geo::hausdorff(*outputs[a], *outputs[b]));
     }
   }
-  cert.agreement = cert.max_pairwise_hausdorff < eps + check_tol;
-
-  cert.min_output_measure = outputs[0]->measure();
-  cert.max_output_measure = outputs[0]->measure();
-  for (const geo::Polytope* out : outputs) {
-    cert.min_output_measure = std::min(cert.min_output_measure, out->measure());
-    cert.max_output_measure = std::max(cert.max_output_measure, out->measure());
-  }
+  if (measures.empty()) return cert;
+  cert.correct_hull_measure = verdict.validity_hull_measure;
+  const auto [lo, hi] = std::minmax_element(measures.begin(), measures.end());
+  cert.min_output_measure = *lo;
+  cert.max_output_measure = *hi;
   return cert;
 }
 
@@ -210,33 +215,13 @@ Certificate certify(const TraceCollector& trace,
                     const std::vector<sim::ProcessId>& correct,
                     const std::vector<geo::Vec>& correct_inputs,
                     const CCConfig& cfg, double check_tol) {
-  Certificate cert =
-      certify_outputs(trace, correct, correct_inputs, cfg.eps, check_tol);
-  if (std::none_of(correct.begin(), correct.end(), [&](sim::ProcessId p) {
-        return trace.of(p).decision.has_value();
-      })) {
-    return cert;
+  obs::TraceHeader header = config_header(cfg);
+  for (sim::ProcessId p = 0; p < cfg.n; ++p) {
+    if (std::find(correct.begin(), correct.end(), p) == correct.end()) {
+      header.faulty.push_back(p);
+    }
   }
-
-  // Optimality: I_Z contained in every output (Lemma 6 / Theorem 3). Z is
-  // the common view of EVERY process that recorded one, exactly as the
-  // offline checker builds it; the drop count matches the fault model's
-  // round-0 rule.
-  std::vector<sim::ProcessId> participants;
-  for (sim::ProcessId p = 0; p < trace.n(); ++p) {
-    if (trace.of(p).round0_view.has_value()) participants.push_back(p);
-  }
-  const geo::Polytope iz =
-      compute_iz(trace, participants, cfg.round0_drop(), cfg.rel_tol);
-  cert.iz_measure = iz.is_empty() ? 0.0 : iz.measure();
-  // A vacuous guaranteed region (only possible without the stable vector)
-  // leaves optimality false.
-  cert.optimality = !iz.is_empty();
-  for (sim::ProcessId p : correct) {
-    const auto& d = trace.of(p).decision;
-    if (d.has_value() && !d->contains(iz, check_tol)) cert.optimality = false;
-  }
-  return cert;
+  return certify(trace, correct, correct_inputs, header, check_tol);
 }
 
 }  // namespace chc::core

@@ -1,5 +1,5 @@
 // Post-execution analysis: the matrix representation of §5 and the
-// optimality certificate of §6, computed from a recorded trace.
+// certificate of §6, computed from a recorded trace.
 //
 // These functions are the empirical counterparts of the paper's proofs:
 //  * build_transition_matrices — M[t] per Rules 1–2 (row stochastic).
@@ -8,13 +8,11 @@
 //    processes, which the test suite asserts with Hausdorff ~ 0.
 //  * ergodicity_delta          — δ(P) = max_k max_{i,j} |P_ik − P_jk| over
 //    live rows; Lemma 3 bounds it by (1 − 1/n)^t.
-//  * compute_iz                — I_Z from Z = ∩ R_i (eq. 20–21); Lemma 6
-//    says I_Z ⊆ h_i[t] for every live process and round.
-//  * certify_outputs           — decision, validity, ε-agreement and size
-//    metrics: the protocol-independent half, which is BCC's whole
-//    certificate.
-//  * certify                   — certify_outputs plus the I_Z optimality
-//    containment of Algorithm CC.
+//  * certify                   — a view of the verification oracle's
+//    judgement (obs/checker.hpp): the collector's record — every
+//    incarnation's round-0 view and decision, no per-round snapshots — is
+//    judged by the same code that judges traces, and its decision-level
+//    verdict, I_Z measure and output sizes become the Certificate.
 #pragma once
 
 #include <optional>
@@ -57,20 +55,12 @@ std::vector<geo::Polytope> replay_matrix_evolution(const TraceCollector& trace,
                                                    std::size_t t,
                                                    double rel_tol = 1e-9);
 
-/// I_Z per eq. (20)–(21) (obs::compute_iz over the recorded R_i of the
-/// given processes): Z is the intersection of their views, X_Z its
-/// multiset of points, and I_Z the (|X_Z|−f)-subset hull intersection.
-/// Returns an empty polytope if |X_Z| <= f or that intersection is empty.
-geo::Polytope compute_iz(const TraceCollector& trace,
-                         const std::vector<sim::ProcessId>& procs,
-                         std::size_t f, double rel_tol = 1e-9);
-
 /// Everything the experiments assert about a finished execution.
 struct Certificate {
   bool all_decided = false;        ///< every process in `correct` decided
   bool validity = false;           ///< outputs ⊆ H(correct inputs)
   bool agreement = false;          ///< pairwise d_H < ε
-  bool optimality = false;         ///< I_Z ⊆ every output
+  bool optimality = false;         ///< I_Z ⊆ every fault-free output
   double max_pairwise_hausdorff = 0.0;
   double min_output_measure = 0.0;
   double max_output_measure = 0.0;
@@ -79,25 +69,28 @@ struct Certificate {
   std::size_t rounds = 0;
 };
 
-/// Decision, validity and ε-agreement of `correct`'s outputs, plus output
-/// sizes; optimality stays false and iz_measure 0. `validity_inputs` are
-/// the inputs whose hull bounds valid outputs. `check_tol` absorbs
-/// floating-point slack in the containment checks.
-Certificate certify_outputs(const TraceCollector& trace,
-                            const std::vector<sim::ProcessId>& correct,
-                            const std::vector<geo::Vec>& validity_inputs,
-                            double eps, double check_tol = 1e-6);
+/// The oracle's verdict on `trace` for the processes in `correct`: the
+/// judge (obs::judge) reads the configuration, protocol and declared
+/// faulty set from `header`, and `validity_inputs` are the inputs whose
+/// hull bounds valid outputs. Validity covers every recorded decision,
+/// agreement the first incarnation of every process that decided, and
+/// optimality asks that I_Z — built from every incarnation's round-0 view —
+/// be non-empty and inside every fault-free (never crashed) process's
+/// decision; all three stay false until a process outside the declared
+/// faulty set decided. They are measured in every configuration (the
+/// checker asserts them only where the paper's guarantees hold), and
+/// protocol "bcc" leaves the crash-model I_Z floor out (optimality false,
+/// iz_measure 0). all_decided and the output measures read `correct`'s
+/// latest decisions. `check_tol` is the judge's geometric slack.
+Certificate certify(const TraceCollector& trace,
+                    const std::vector<sim::ProcessId>& correct,
+                    const std::vector<geo::Vec>& validity_inputs,
+                    const obs::TraceHeader& header, double check_tol = 1e-6);
 
-/// certify_outputs plus optimality: I_Z, built from the round-0 views of
-/// every process that recorded one (as the offline checker builds it), is
-/// contained in every output. An empty I_Z leaves optimality false. With
-/// the stable vector the views are inclusion-ordered, so Z is the smallest
-/// view and I_Z is non-empty; under the naive round-0 ablation a faulty
-/// process's differing view can shrink Z until I_Z is empty.
-/// `correct` = fault-free processes (whose decisions are checked);
-/// `correct_inputs` = the inputs whose hull bounds valid outputs — the
-/// fault-free processes' inputs under the incorrect-inputs model, ALL
-/// inputs under the correct-inputs model.
+/// certify under `cfg` for Algorithm CC, with the processes outside
+/// `correct` declared faulty. `correct_inputs` = the inputs whose hull
+/// bounds valid outputs — the fault-free processes' inputs under the
+/// incorrect-inputs model, ALL inputs under the correct-inputs model.
 Certificate certify(const TraceCollector& trace,
                     const std::vector<sim::ProcessId>& correct,
                     const std::vector<geo::Vec>& correct_inputs,

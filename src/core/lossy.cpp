@@ -44,19 +44,7 @@ obs::TraceHeader make_trace_header(const LossyRunConfig& lc,
                                    const CCConfig& effective,
                                    const Workload& workload) {
   const RunConfig& rc = lc.base;
-  obs::TraceHeader h;
-  h.env = "sim";
-  h.n = effective.n;
-  h.f = effective.f;
-  h.d = effective.d;
-  h.eps = effective.eps;
-  h.input_magnitude = effective.input_magnitude;
-  h.rel_tol = effective.rel_tol;
-  h.round0_naive = effective.round0 == Round0Policy::kNaiveCollect;
-  h.max_polytope_vertices = effective.max_polytope_vertices;
-  h.correct_inputs_model =
-      effective.fault_model == FaultModel::kCrashCorrectInputs;
-  h.t_end = effective.t_end();
+  obs::TraceHeader h = config_header(effective);
   h.pattern = static_cast<int>(rc.pattern);
   h.crash_style = static_cast<int>(rc.crash_style);
   h.delay = static_cast<int>(rc.delay);

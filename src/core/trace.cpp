@@ -17,10 +17,25 @@ void copy_view(const dsm::StableVectorResult& view, obs::TraceEvent& e) {
 
 }  // namespace
 
+obs::TraceHeader config_header(const CCConfig& cfg) {
+  obs::TraceHeader h;
+  h.n = cfg.n;
+  h.f = cfg.f;
+  h.d = cfg.d;
+  h.eps = cfg.eps;
+  h.input_magnitude = cfg.input_magnitude;
+  h.rel_tol = cfg.rel_tol;
+  h.round0_naive = cfg.round0 == Round0Policy::kNaiveCollect;
+  h.max_polytope_vertices = cfg.max_polytope_vertices;
+  h.correct_inputs_model = cfg.fault_model == FaultModel::kCrashCorrectInputs;
+  h.t_end = cfg.t_end();
+  return h;
+}
+
 void TraceCollector::record_round0(sim::ProcessId p,
                                    const dsm::StableVectorResult& view,
                                    const geo::Polytope& h0, sim::Time now) {
-  auto& t = procs_.at(p);
+  auto& t = procs_.at(p).back();
   CHC_CHECK(!t.round0_view.has_value(), "round 0 recorded twice");
   t.round0_view = view;
   t.h0 = h0;
@@ -38,7 +53,7 @@ void TraceCollector::record_round0(sim::ProcessId p,
 void TraceCollector::record_round0_empty(sim::ProcessId p,
                                          const dsm::StableVectorResult& view,
                                          sim::Time now) {
-  auto& t = procs_.at(p);
+  auto& t = procs_.at(p).back();
   CHC_CHECK(!t.round0_view.has_value(), "round 0 recorded twice");
   t.round0_view = view;
   t.round0_empty = true;
@@ -56,7 +71,7 @@ void TraceCollector::record_round(sim::ProcessId p, std::size_t t,
                                   std::set<sim::ProcessId> senders,
                                   const geo::Polytope& h, sim::Time now) {
   CHC_CHECK(t >= 1, "round index must be >= 1");
-  auto& tr = procs_.at(p);
+  auto& tr = procs_.at(p).back();
   CHC_CHECK(tr.senders.find(t) == tr.senders.end(), "round recorded twice");
   tracer_->emit_with([&] {
     obs::TraceEvent e;
@@ -75,7 +90,7 @@ void TraceCollector::record_round(sim::ProcessId p, std::size_t t,
 void TraceCollector::record_decision(sim::ProcessId p,
                                      const geo::Polytope& decision,
                                      std::size_t round, sim::Time now) {
-  auto& t = procs_.at(p);
+  auto& t = procs_.at(p).back();
   CHC_CHECK(!t.decision.has_value(), "decision recorded twice");
   t.decision = decision;
   tracer_->emit_with([&] {
@@ -91,16 +106,17 @@ void TraceCollector::record_decision(sim::ProcessId p,
 
 std::size_t TraceCollector::max_round() const {
   std::size_t m = 0;
-  for (const auto& p : procs_) {
-    if (!p.h.empty()) m = std::max(m, p.h.rbegin()->first);
+  for (sim::ProcessId p = 0; p < n(); ++p) {
+    const ProcessTrace& t = of(p);
+    if (!t.h.empty()) m = std::max(m, t.h.rbegin()->first);
   }
   return m;
 }
 
 std::vector<sim::ProcessId> TraceCollector::decided() const {
   std::vector<sim::ProcessId> out;
-  for (sim::ProcessId p = 0; p < procs_.size(); ++p) {
-    if (procs_[p].decision.has_value()) out.push_back(p);
+  for (sim::ProcessId p = 0; p < n(); ++p) {
+    if (of(p).decision.has_value()) out.push_back(p);
   }
   return out;
 }

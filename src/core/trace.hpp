@@ -5,8 +5,8 @@
 // message sets MSG_i[t], and the state polytopes h_i[t]. The TraceCollector
 // records exactly these so the analysis module can rebuild the transition
 // matrices M[t] (Rules 1–2), replay the matrix state evolution (Theorem 1),
-// check the ergodicity bound (Lemma 3 / eq. 12), and compute the optimality
-// lower bound I_Z (eq. 20–21).
+// check the ergodicity bound (Lemma 3 / eq. 12), and hand the verification
+// oracle (obs/checker.hpp) every incarnation's round-0 view and decision.
 //
 // The simulator is single-threaded, so one collector is shared by all
 // processes of a run.
@@ -17,12 +17,17 @@
 #include <set>
 #include <vector>
 
+#include "core/config.hpp"
 #include "dsm/stable_vector.hpp"
 #include "geometry/polytope.hpp"
 #include "obs/trace.hpp"
 #include "sim/message.hpp"
 
 namespace chc::core {
+
+/// The trace-header fields a CCConfig determines (n, f, d, eps, magnitude,
+/// tolerance, round-0 policy, vertex budget, fault model, t_end).
+obs::TraceHeader config_header(const CCConfig& cfg);
 
 /// Per-process, per-round record of one execution.
 struct ProcessTrace {
@@ -42,7 +47,7 @@ class TraceCollector {
   /// step (round 0 / round / decision), timestamped with the `now` the
   /// recording call supplies.
   explicit TraceCollector(std::size_t n, obs::Tracer* tracer = nullptr)
-      : procs_(n) {
+      : procs_(n, std::vector<ProcessTrace>(1)) {
     if (tracer != nullptr) tracer_ = tracer;
   }
 
@@ -61,26 +66,33 @@ class TraceCollector {
   void record_decision(sim::ProcessId p, const geo::Polytope& decision,
                        std::size_t round = 0, sim::Time now = 0.0);
 
-  /// Forgets everything recorded for p. Called when p restarts after a
-  /// crash-recover (state loss): the fresh incarnation re-records round 0,
-  /// which the duplicate guards would otherwise reject. The kRecover trace
-  /// event preserves the full history for the offline checker; in memory
-  /// the latest incarnation wins.
-  void reset_process(sim::ProcessId p) { procs_.at(p) = ProcessTrace{}; }
+  /// Opens a fresh incarnation of p. Called when p restarts after a
+  /// crash-recover (state loss): the fresh incarnation re-records round 0.
+  /// The retired one is kept for the verification oracle, which builds Z
+  /// over every incarnation's round-0 view (obs/checker.hpp).
+  void reset_process(sim::ProcessId p) { procs_.at(p).emplace_back(); }
 
   std::size_t n() const { return procs_.size(); }
-  const ProcessTrace& of(sim::ProcessId p) const { return procs_.at(p); }
+  /// The latest incarnation of p.
+  const ProcessTrace& of(sim::ProcessId p) const {
+    return procs_.at(p).back();
+  }
+  /// Every incarnation of p, oldest first; the last one is of(p).
+  const std::vector<ProcessTrace>& incarnations(sim::ProcessId p) const {
+    return procs_.at(p);
+  }
 
-  /// Largest round index recorded by any process.
+  /// Largest round index recorded by any process's latest incarnation.
   std::size_t max_round() const;
 
-  /// Processes that produced a decision.
+  /// Processes whose latest incarnation produced a decision.
   std::vector<sim::ProcessId> decided() const;
 
  private:
   obs::Tracer disabled_tracer_;
   obs::Tracer* tracer_ = &disabled_tracer_;
-  std::vector<ProcessTrace> procs_;
+  /// procs_[p]: p's incarnations, oldest first.
+  std::vector<std::vector<ProcessTrace>> procs_;
 };
 
 }  // namespace chc::core

@@ -87,7 +87,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, obs::Registry* metrics) {
   }
 
   r.trace_lines = sink.lines();
-  r.check = obs::check_trace_lines(r.trace_lines);
+  r.check = obs::check_sink(sink);
+  r.cert = out.cert;
 
   const std::vector<sim::ProcessId> decided = out.trace->decided();
   r.decided = decided.size();

@@ -4,8 +4,9 @@
 // it generates a workload (the scenario's crash targets are exactly the
 // workload's faulty set), lowers the Scenario onto core::run_cc_lossy_custom,
 // records the full JSONL trace in memory, re-verifies the run with the
-// offline checker (obs::check_trace_lines — the same code path as
-// tools/chc_check), classifies the outcome and extracts summary metrics.
+// verification oracle's typed-event front-end (obs::check_sink — the judge
+// tools/chc_check runs after parsing), classifies the outcome and extracts
+// summary metrics.
 //
 // Outcome classification:
 //   kDecided      every process that is neither workload-faulty nor
@@ -55,6 +56,7 @@ struct ScenarioResult {
   Outcome outcome = Outcome::kStalledSafe;
   bool passed = false;  ///< checker-clean and outcome == expectation
   obs::CheckReport check;
+  core::Certificate cert;  ///< the run's in-memory certificate
   std::vector<std::string> trace_lines;  ///< full JSONL trace of the run
 
   // Summary metrics.

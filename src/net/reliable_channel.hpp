@@ -37,7 +37,7 @@
 //
 // Tag/token budget: wire tags 900-901 and timer token 910000 are reserved
 // for the shim; wrapped protocols must not use them (the repo's layers use
-// tags 100-402 and tokens < 1000).
+// tags 100-412 and tokens < 1000).
 #pragma once
 
 #include <any>

@@ -1,10 +1,20 @@
-// Offline trace checker: re-verifies the paper's invariants from a JSONL
-// trace, with no access to the original execution.
+// The verification oracle: one judge of an execution record, with two
+// front-ends that fill the record.
 //
-// Structural checks (the trace is a plausible execution):
-//   * the first record is a header; seq numbers strictly increase and event
-//     times are non-decreasing (env == "sim" traces only — env == "live"
-//     traces record wall-clock interleavings);
+//   * Typed trace events (check_trace_events; check_trace_lines and
+//     check_trace_file parse JSONL and feed the same front-end;
+//     check_sink reads a MemorySink's events directly). Every snapshot is
+//     recorded, and the front-end itself checks the trace's structure.
+//   * core::TraceCollector (core::certify): every incarnation's round-0
+//     view and decision, no per-round snapshots.
+//
+// Structural checks (event front-end; the trace is a plausible execution):
+//   * the first record is a header with f < n, d-dimensional input rows and
+//     finite positive eps / input_magnitude, and every vertex and view
+//     point is d-dimensional (otherwise the trace is malformed: parsed =
+//     false); seq numbers strictly increase and event times are
+//     non-decreasing (env == "sim" traces only — env == "live" traces
+//     record wall-clock interleavings);
 //   * per process: at most one round-0 completion, round completions are
 //     consecutive from 1, each preceded by its round_start, at most one
 //     decision, and nothing is emitted after the process's crash event;
@@ -33,12 +43,22 @@
 //     inclusion (paper §3);
 //   * ε-agreement + Lemma 3 contraction — pairwise d_H(h_i[t], h_j[t]) ≤
 //     (1 − 1/n)^t · sqrt(d · n² · max(U², μ²)) per round (eq. 12→19), and
-//     pairwise decision distance < ε (skipped when vertex pruning is on:
-//     simplification error is outside the bound);
+//     pairwise decision distance < ε (not asserted when vertex pruning is
+//     on: simplification error is outside the bound);
 //   * Optimality floor — I_Z ⊆ h_i[t] for every fault-free process and
 //     round (Lemma 6), with I_Z recomputed from the recorded views
-//     (eq. 20-21; skipped for the naive round-0 ablation and under
+//     (eq. 20-21; not asserted for the naive round-0 ablation and under
 //     pruning, where the guarantee does not hold).
+//
+// The judge defines each measured quantity once:
+//   * Z intersects every recorded round-0 view of every incarnation;
+//   * a resolution-limited state (see checker.cpp) gets the collapse slack,
+//     tried only after a strict containment fails;
+//   * ε-agreement covers the first incarnation of every process that
+//     decided.
+// Besides asserting, it measures a decision-level verdict (validity,
+// agreement, optimality, max pairwise distance) and I_Z's measure in every
+// configuration; core::certify's Certificate is a view of exactly these.
 //
 // Byzantine mode (header protocol == "bcc", src/bcc): the same validity,
 // round-containment, contraction and ε-agreement invariants apply to the
@@ -49,13 +69,16 @@
 // origins. (2) Declared-Byzantine senders record no states, so containments
 // through them are counted as skipped, not violated; Byzantine processes
 // are exempt from liveness via the faulty set. (3) The I_Z optimality floor
-// is a crash-model lemma and is skipped, as is liveness when n < 3f + 1
-// (the resilience precondition is void — the documented non-decision mode
-// of the boundary suite; safety is still fully checked).
+// is a crash-model lemma and is neither computed nor asserted, and liveness
+// is skipped when n < 3f + 1 (the resilience precondition is void — the
+// documented non-decision mode of the boundary suite; safety is still fully
+// checked).
 #pragma once
 
 #include <cstddef>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,12 +90,43 @@ namespace chc::obs {
 /// A recorded round-0 view R_i: origin -> input.
 using View = std::map<Pid, geo::Vec>;
 
-/// I_Z per eq. (20)-(21), the one definition the checker and core::certify
-/// share: Z keeps the entries every view holds with an equal point, and
-/// I_Z intersects the hulls of all (|Z| - drop)-subsets of Z's points.
-/// Empty when `views` is empty or |Z| <= drop (the floor is vacuous).
-geo::Polytope compute_iz(const std::vector<const View*>& views,
-                         std::size_t drop, double rel_tol);
+/// A recorded polytope state with its provenance in the trace (1-based
+/// line and seq; both 0 for a record filled in memory).
+struct Snapshot {
+  geo::Polytope poly;
+  std::size_t line = 0;
+  std::uint64_t seq = 0;
+  std::vector<Pid> senders;  ///< MSG_i[t]; empty for round 0
+};
+
+/// What one incarnation of a process recorded. A crash-recover opens a
+/// fresh incarnation (state loss: the restarted process re-records
+/// round 0).
+struct Incarnation {
+  bool has_round0 = false;
+  bool round0_empty = false;
+  std::size_t round0_line = 0;
+  View view;                          ///< R_i
+  std::map<std::size_t, Snapshot> h;  ///< round -> h_i[t] (0 == h_i[0])
+  std::set<std::size_t> started;      ///< rounds with a round_start
+  bool decided = false;
+  std::size_t decide_round = 0;
+  std::size_t decide_line = 0;
+  geo::Polytope decision;
+  bool crashed = false;
+  double crash_t = 0.0;
+};
+
+/// One execution as the judge reads it.
+struct ExecutionRecord {
+  TraceHeader header;  ///< configuration, protocol, declared faulty set
+  /// The inputs whose hull bounds every valid state (Theorem 2).
+  std::vector<geo::Vec> validity_inputs;
+  /// procs[p]: the incarnations of process p, oldest first.
+  std::vector<std::vector<Incarnation>> procs;
+  std::optional<TraceFooter> footer;
+  std::size_t footer_line = 0;
+};
 
 struct CheckViolation {
   std::size_t line = 0;  ///< 1-based line number in the trace file
@@ -87,8 +141,19 @@ struct CheckViolation {
 std::string describe(const CheckViolation& v);
 
 struct CheckOptions {
-  double tol = 1e-6;  ///< geometric slack (matches core::certify)
+  double tol = 1e-6;  ///< geometric slack (core::certify's check_tol)
   std::size_t max_violations = 16;  ///< stop collecting after this many
+};
+
+/// The judge's decision-level verdict, measured in every configuration
+/// whether or not the matching invariant is asserted. All false until a
+/// process outside the declared faulty set has decided.
+struct DecisionVerdict {
+  bool validity = false;    ///< every recorded decision ⊆ H(validity inputs)
+  bool agreement = false;   ///< first-incarnation decisions pairwise d_H < ε
+  bool optimality = false;  ///< I_Z non-empty and ⊆ every fault-free
+                            ///< (never crashed) first-incarnation decision
+  double max_pairwise_hausdorff = 0.0;  ///< over those first incarnations
 };
 
 struct CheckReport {
@@ -103,8 +168,12 @@ struct CheckReport {
   std::size_t containments_checked = 0;
   std::size_t pairs_checked = 0;
   std::size_t rounds_seen = 0;
-  bool iz_checked = false;
-  double iz_measure = 0.0;  ///< measure of the I_Z floor, when checked
+  bool iz_checked = false;  ///< the I_Z floor was asserted
+  /// Measure of I_Z whenever it is non-empty, asserted or not (0 for bcc
+  /// and single-node traces, where it is not defined).
+  double iz_measure = 0.0;
+  double validity_hull_measure = 0.0;  ///< measure of H(validity inputs)
+  DecisionVerdict decisions;
 
   /// Round containments skipped because the senders' previous states are
   /// legitimately unknowable: a single-node perspective trace cannot see
@@ -134,6 +203,25 @@ struct CheckReport {
 /// live-trace tail.
 std::string summary_line(const CheckReport& r);
 
+/// The judge alone, over a record a front-end filled: every invariant
+/// above except the event front-end's structure checks, plus the
+/// decision-level verdict.
+CheckReport judge(const ExecutionRecord& record, const CheckOptions& opts = {});
+
+/// Typed front-end: the header, the events in emission order and the
+/// footer when the run wrote one. Event i is reported as line i + 2, its
+/// line in the JSONL form.
+CheckReport check_trace_events(const TraceHeader& header,
+                               const std::vector<TraceEvent>& events,
+                               const std::optional<TraceFooter>& footer,
+                               const CheckOptions& opts = {});
+
+/// The typed front-end over a MemorySink that recorded one run (header
+/// line, events, optional footer line): only those two pre-serialized
+/// records are parsed.
+CheckReport check_sink(const MemorySink& sink, const CheckOptions& opts = {});
+
+/// Parses JSONL, then runs the typed front-end.
 CheckReport check_trace_lines(const std::vector<std::string>& lines,
                               const CheckOptions& opts = {});
 CheckReport check_trace_file(const std::string& path,

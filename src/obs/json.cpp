@@ -16,40 +16,6 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-double JsonValue::as_double() const {
-  CHC_CHECK(type == Type::kNumber, "JSON value is not a number");
-  return number;
-}
-
-std::uint64_t JsonValue::as_u64() const {
-  CHC_CHECK(type == Type::kNumber, "JSON value is not a number");
-  // Parse from the raw token so values beyond 2^53 stay exact.
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec == std::errc() && ptr == text.data() + text.size()) return v;
-  return static_cast<std::uint64_t>(number);
-}
-
-std::int64_t JsonValue::as_i64() const {
-  CHC_CHECK(type == Type::kNumber, "JSON value is not a number");
-  std::int64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec == std::errc() && ptr == text.data() + text.size()) return v;
-  return static_cast<std::int64_t>(number);
-}
-
-bool JsonValue::as_bool() const {
-  CHC_CHECK(type == Type::kBool, "JSON value is not a boolean");
-  return boolean;
-}
-
-const std::string& JsonValue::as_string() const {
-  CHC_CHECK(type == Type::kString, "JSON value is not a string");
-  return text;
-}
-
 namespace {
 
 /// Recursive-descent parser over a string_view cursor.

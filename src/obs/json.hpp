@@ -37,13 +37,6 @@ struct JsonValue {
 
   /// Object field lookup; nullptr when absent (or not an object).
   const JsonValue* find(std::string_view key) const;
-
-  /// Typed accessors; CHC_CHECK on type mismatch.
-  double as_double() const;
-  std::uint64_t as_u64() const;  ///< exact, parsed from the raw token
-  std::int64_t as_i64() const;
-  bool as_bool() const;
-  const std::string& as_string() const;
 };
 
 /// Parses one JSON document. Returns false (and sets *error when non-null)

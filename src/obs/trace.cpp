@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <array>
+#include <charconv>
+#include <type_traits>
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
@@ -68,6 +70,79 @@ bool field_missing(const char* name, std::string* error) {
   return false;
 }
 
+/// Typed reads of one JSON object that never throw: a value of the wrong
+/// JSON type (or an integer field holding anything but an in-range
+/// integer) marks the reader bad instead, and the parsers turn that into
+/// their "false + *error" result on malformed input.
+class FieldReader {
+ public:
+  explicit FieldReader(const JsonValue& obj) : obj_(obj) {}
+
+  /// Reads field `name` into `dst` when present (absent leaves it as is).
+  template <typename T>
+  void read(const char* name, T& dst) {
+    if (const JsonValue* v = obj_.find(name)) read_value(*v, name, dst);
+  }
+
+  /// Reads `v`, a value of field `name`, into `dst`.
+  template <typename T>
+  void read_value(const JsonValue& v, const char* name, T& dst) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (expect(v, JsonValue::Type::kBool, name)) dst = v.boolean;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (expect(v, JsonValue::Type::kString, name)) dst = v.text;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (expect(v, JsonValue::Type::kNumber, name)) dst = v.number;
+    } else if (expect(v, JsonValue::Type::kNumber, name)) {
+      // Integers are read from the exact token: a negative, fractional or
+      // out-of-range one is malformed, not converted.
+      T x{};
+      const char* end = v.text.data() + v.text.size();
+      const auto [ptr, ec] = std::from_chars(v.text.data(), end, x);
+      if (ec != std::errc() || ptr != end) {
+        mark_bad(name);
+      } else {
+        dst = x;
+      }
+    }
+  }
+
+  /// The items of array field `name`; empty when absent, and empty (with
+  /// the reader marked bad) when present but not an array.
+  const std::vector<JsonValue>& array(const char* name) {
+    static const std::vector<JsonValue> kNone;
+    const JsonValue* v = obj_.find(name);
+    if (v == nullptr || !expect(*v, JsonValue::Type::kArray, name)) {
+      return kNone;
+    }
+    return v->items;
+  }
+
+  /// Marks the reader bad unless `v` has the given type.
+  bool expect(const JsonValue& v, JsonValue::Type type, const char* name) {
+    if (v.type == type) return true;
+    mark_bad(name);
+    return false;
+  }
+  void mark_bad(const char* name) {
+    if (bad_ == nullptr) bad_ = name;
+  }
+
+  bool ok() const { return bad_ == nullptr; }
+
+  /// False, with *error naming the first malformed field.
+  bool fail(std::string* error) const {
+    if (error != nullptr) {
+      *error = std::string("field '") + bad_ + "' is malformed";
+    }
+    return false;
+  }
+
+ private:
+  const JsonValue& obj_;
+  const char* bad_ = nullptr;
+};
+
 void append_override(std::string& out, const HeaderChannelOverride& o) {
   out += "{\"from\":";
   out += std::to_string(o.from);
@@ -88,14 +163,15 @@ void append_override(std::string& out, const HeaderChannelOverride& o) {
 
 bool parse_override(const JsonValue& j, HeaderChannelOverride& o) {
   if (!j.is_object()) return false;
-  if (const JsonValue* v = j.find("from")) o.from = v->as_u64();
-  if (const JsonValue* v = j.find("to")) o.to = v->as_u64();
-  if (const JsonValue* v = j.find("drop")) o.drop = v->as_double();
-  if (const JsonValue* v = j.find("dup")) o.dup = v->as_double();
-  if (const JsonValue* v = j.find("reorder")) o.reorder = v->as_double();
-  if (const JsonValue* v = j.find("rmin")) o.rmin = v->as_double();
-  if (const JsonValue* v = j.find("rmax")) o.rmax = v->as_double();
-  return true;
+  FieldReader r(j);
+  r.read("from", o.from);
+  r.read("to", o.to);
+  r.read("drop", o.drop);
+  r.read("dup", o.dup);
+  r.read("reorder", o.reorder);
+  r.read("rmin", o.rmin);
+  r.read("rmax", o.rmax);
+  return r.ok();
 }
 
 }  // namespace
@@ -197,64 +273,35 @@ bool parse_event(std::string_view line, TraceEvent& out, std::string* error) {
     if (error != nullptr) *error = "unknown event kind '" + kind->text + "'";
     return false;
   }
-  const JsonValue* seq = j.find("seq");
-  if (seq == nullptr) return field_missing("seq", error);
-  out.seq = seq->as_u64();
-  const JsonValue* t = j.find("t");
-  if (t == nullptr) return field_missing("t", error);
-  out.t = t->as_double();
-  const JsonValue* p = j.find("p");
-  if (p == nullptr) return field_missing("p", error);
-  out.p = static_cast<Pid>(p->as_u64());
-
-  if (const JsonValue* peer = j.find("peer")) {
-    out.peer = static_cast<Pid>(peer->as_u64());
+  if (j.find("seq") == nullptr) return field_missing("seq", error);
+  if (j.find("t") == nullptr) return field_missing("t", error);
+  if (j.find("p") == nullptr) return field_missing("p", error);
+  FieldReader r(j);
+  r.read("seq", out.seq);
+  r.read("t", out.t);
+  r.read("p", out.p);
+  r.read("peer", out.peer);
+  r.read("tag", out.tag);
+  r.read("round", out.round);
+  r.read("aux", out.aux);
+  for (const JsonValue& s : r.array("senders")) {
+    r.read_value(s, "senders", out.senders.emplace_back());
   }
-  if (const JsonValue* tag = j.find("tag")) {
-    out.tag = static_cast<int>(tag->as_i64());
-  }
-  if (const JsonValue* round = j.find("round")) {
-    out.round = static_cast<std::size_t>(round->as_u64());
-  }
-  if (const JsonValue* aux = j.find("aux")) {
-    out.aux = aux->as_u64();
-  }
-  if (const JsonValue* senders = j.find("senders")) {
-    if (!senders->is_array()) {
-      if (error != nullptr) *error = "'senders' is not an array";
+  for (const JsonValue& tuple : r.array("view")) {
+    if (!tuple.is_array() || tuple.items.size() != 2) {
+      if (error != nullptr) *error = "view tuple is not [origin, point]";
       return false;
     }
-    for (const JsonValue& s : senders->items) {
-      out.senders.push_back(static_cast<Pid>(s.as_u64()));
-    }
+    auto& [origin, x] = out.view.emplace_back();
+    r.read_value(tuple.items[0], "view", origin);
+    if (!parse_vec(tuple.items[1], x, error)) return false;
   }
-  if (const JsonValue* view = j.find("view")) {
-    if (!view->is_array()) {
-      if (error != nullptr) *error = "'view' is not an array";
-      return false;
-    }
-    for (const JsonValue& tuple : view->items) {
-      if (!tuple.is_array() || tuple.items.size() != 2) {
-        if (error != nullptr) *error = "view tuple is not [origin, point]";
-        return false;
-      }
-      geo::Vec x;
-      if (!parse_vec(tuple.items[1], x, error)) return false;
-      out.view.emplace_back(static_cast<Pid>(tuple.items[0].as_u64()),
-                            std::move(x));
-    }
+  for (const JsonValue& v : r.array("verts")) {
+    geo::Vec x;
+    if (!parse_vec(v, x, error)) return false;
+    out.verts.push_back(std::move(x));
   }
-  if (const JsonValue* verts = j.find("verts")) {
-    if (!verts->is_array()) {
-      if (error != nullptr) *error = "'verts' is not an array";
-      return false;
-    }
-    for (const JsonValue& v : verts->items) {
-      geo::Vec x;
-      if (!parse_vec(v, x, error)) return false;
-      out.verts.push_back(std::move(x));
-    }
-  }
+  if (!r.ok()) return r.fail(error);
   return true;
 }
 
@@ -437,151 +484,130 @@ bool parse_header(std::string_view line, TraceHeader& out,
     return false;
   }
   out = TraceHeader{};
-  const auto u64 = [&j](const char* name, std::uint64_t& dst) {
-    if (const JsonValue* v = j.find(name)) dst = v->as_u64();
-  };
-  const auto dbl = [&j](const char* name, double& dst) {
-    if (const JsonValue* v = j.find(name)) dst = v->as_double();
-  };
-  const auto bol = [&j](const char* name, bool& dst) {
-    if (const JsonValue* v = j.find(name)) dst = v->as_bool();
-  };
-  const auto i32 = [&j](const char* name, int& dst) {
-    if (const JsonValue* v = j.find(name)) dst = static_cast<int>(v->as_i64());
-  };
-  i32("version", out.version);
-  if (const JsonValue* env = j.find("env")) out.env = env->as_string();
-  if (const JsonValue* pr = j.find("protocol")) out.protocol = pr->as_string();
-  if (const JsonValue* p = j.find("perspective")) out.perspective = p->as_i64();
-  u64("n", out.n);
-  u64("f", out.f);
-  u64("d", out.d);
-  dbl("eps", out.eps);
-  dbl("input_magnitude", out.input_magnitude);
-  dbl("rel_tol", out.rel_tol);
-  bol("round0_naive", out.round0_naive);
-  u64("max_polytope_vertices", out.max_polytope_vertices);
-  bol("correct_inputs_model", out.correct_inputs_model);
-  u64("t_end", out.t_end);
-  i32("pattern", out.pattern);
-  i32("crash_style", out.crash_style);
-  i32("delay", out.delay);
-  u64("seed", out.seed);
-  dbl("drop", out.drop);
-  dbl("dup", out.dup);
-  dbl("reorder", out.reorder);
-  dbl("reorder_delay_min", out.reorder_delay_min);
-  dbl("reorder_delay_max", out.reorder_delay_max);
-  bol("reliable", out.reliable);
-  dbl("rto", out.rto);
-  dbl("backoff", out.backoff);
-  dbl("rto_max", out.rto_max);
-  dbl("jitter", out.jitter);
-  dbl("tick", out.tick);
-  u64("max_retries", out.max_retries);
-  u64("max_events", out.max_events);
-  dbl("clock_rate", out.clock_rate);
+  FieldReader r(j);
+  r.read("version", out.version);
+  r.read("env", out.env);
+  r.read("protocol", out.protocol);
+  r.read("perspective", out.perspective);
+  r.read("n", out.n);
+  r.read("f", out.f);
+  r.read("d", out.d);
+  r.read("eps", out.eps);
+  r.read("input_magnitude", out.input_magnitude);
+  r.read("rel_tol", out.rel_tol);
+  r.read("round0_naive", out.round0_naive);
+  r.read("max_polytope_vertices", out.max_polytope_vertices);
+  r.read("correct_inputs_model", out.correct_inputs_model);
+  r.read("t_end", out.t_end);
+  r.read("pattern", out.pattern);
+  r.read("crash_style", out.crash_style);
+  r.read("delay", out.delay);
+  r.read("seed", out.seed);
+  r.read("drop", out.drop);
+  r.read("dup", out.dup);
+  r.read("reorder", out.reorder);
+  r.read("reorder_delay_min", out.reorder_delay_min);
+  r.read("reorder_delay_max", out.reorder_delay_max);
+  r.read("reliable", out.reliable);
+  r.read("rto", out.rto);
+  r.read("backoff", out.backoff);
+  r.read("rto_max", out.rto_max);
+  r.read("jitter", out.jitter);
+  r.read("tick", out.tick);
+  r.read("max_retries", out.max_retries);
+  r.read("max_events", out.max_events);
+  r.read("clock_rate", out.clock_rate);
+  if (!r.ok()) return r.fail(error);
   if (out.n == 0) {
     if (error != nullptr) *error = "header is missing n";
     return false;
   }
-  if (const JsonValue* overrides = j.find("overrides")) {
-    for (const JsonValue& o : overrides->items) {
+  for (const JsonValue& o : r.array("overrides")) {
+    HeaderChannelOverride co;
+    if (!parse_override(o, co)) {
+      if (error != nullptr) *error = "bad channel override";
+      return false;
+    }
+    out.overrides.push_back(co);
+  }
+  for (const JsonValue& p : r.array("phases")) {
+    HeaderPolicyPhase ph;
+    if (!p.is_object()) {
+      if (error != nullptr) *error = "bad policy phase";
+      return false;
+    }
+    FieldReader pr(p);
+    pr.read("at", ph.at);
+    pr.read("drop", ph.drop);
+    pr.read("dup", ph.dup);
+    pr.read("reorder", ph.reorder);
+    pr.read("rmin", ph.rmin);
+    pr.read("rmax", ph.rmax);
+    for (const JsonValue& o : pr.array("overrides")) {
       HeaderChannelOverride co;
       if (!parse_override(o, co)) {
-        if (error != nullptr) *error = "bad channel override";
+        if (error != nullptr) *error = "bad phase override";
         return false;
       }
-      out.overrides.push_back(co);
+      ph.overrides.push_back(co);
+    }
+    if (!pr.ok()) return pr.fail(error);
+    out.phases.push_back(std::move(ph));
+  }
+  for (const JsonValue& p : r.array("crash_plans")) {
+    HeaderCrashPlan cp;
+    if (!p.is_object()) {
+      if (error != nullptr) *error = "bad crash plan";
+      return false;
+    }
+    FieldReader pr(p);
+    pr.read("p", cp.p);
+    cp.has_at = p.find("at") != nullptr;
+    pr.read("at", cp.at);
+    cp.has_after = p.find("after") != nullptr;
+    pr.read("after", cp.after);
+    cp.has_recover = p.find("recover") != nullptr;
+    pr.read("recover", cp.recover);
+    if (!pr.ok()) return pr.fail(error);
+    out.crash_plans.push_back(cp);
+  }
+  for (const JsonValue& s : r.array("storms")) {
+    HeaderStorm st;
+    if (!s.is_object()) {
+      if (error != nullptr) *error = "bad storm window";
+      return false;
+    }
+    FieldReader sr(s);
+    sr.read("t0", st.t0);
+    sr.read("t1", st.t1);
+    sr.read("factor", st.factor);
+    if (!sr.ok()) return sr.fail(error);
+    out.storms.push_back(st);
+  }
+  for (const JsonValue& b : r.array("byz")) {
+    HeaderByz hb;
+    if (!b.is_object()) {
+      if (error != nullptr) *error = "bad byz entry";
+      return false;
+    }
+    FieldReader br(b);
+    br.read("p", hb.p);
+    br.read("behavior", hb.kind);
+    br.read("param", hb.param);
+    if (!br.ok()) return br.fail(error);
+    out.byz.push_back(hb);
+  }
+  for (const JsonValue& v : r.array("faulty")) {
+    r.read_value(v, "faulty", out.faulty.emplace_back());
+  }
+  for (const JsonValue& row : r.array("inputs")) {
+    std::vector<double>& coords = out.inputs.emplace_back();
+    if (!r.expect(row, JsonValue::Type::kArray, "inputs")) continue;
+    for (const JsonValue& c : row.items) {
+      r.read_value(c, "inputs", coords.emplace_back());
     }
   }
-  if (const JsonValue* phases = j.find("phases")) {
-    for (const JsonValue& p : phases->items) {
-      HeaderPolicyPhase ph;
-      if (!p.is_object()) {
-        if (error != nullptr) *error = "bad policy phase";
-        return false;
-      }
-      if (const JsonValue* v = p.find("at")) ph.at = v->as_double();
-      if (const JsonValue* v = p.find("drop")) ph.drop = v->as_double();
-      if (const JsonValue* v = p.find("dup")) ph.dup = v->as_double();
-      if (const JsonValue* v = p.find("reorder")) ph.reorder = v->as_double();
-      if (const JsonValue* v = p.find("rmin")) ph.rmin = v->as_double();
-      if (const JsonValue* v = p.find("rmax")) ph.rmax = v->as_double();
-      if (const JsonValue* po = p.find("overrides")) {
-        for (const JsonValue& o : po->items) {
-          HeaderChannelOverride co;
-          if (!parse_override(o, co)) {
-            if (error != nullptr) *error = "bad phase override";
-            return false;
-          }
-          ph.overrides.push_back(co);
-        }
-      }
-      out.phases.push_back(std::move(ph));
-    }
-  }
-  if (const JsonValue* plans = j.find("crash_plans")) {
-    for (const JsonValue& p : plans->items) {
-      HeaderCrashPlan cp;
-      if (!p.is_object()) {
-        if (error != nullptr) *error = "bad crash plan";
-        return false;
-      }
-      if (const JsonValue* v = p.find("p")) cp.p = v->as_u64();
-      if (const JsonValue* v = p.find("at")) {
-        cp.has_at = true;
-        cp.at = v->as_double();
-      }
-      if (const JsonValue* v = p.find("after")) {
-        cp.has_after = true;
-        cp.after = v->as_u64();
-      }
-      if (const JsonValue* v = p.find("recover")) {
-        cp.has_recover = true;
-        cp.recover = v->as_double();
-      }
-      out.crash_plans.push_back(cp);
-    }
-  }
-  if (const JsonValue* storms = j.find("storms")) {
-    for (const JsonValue& s : storms->items) {
-      HeaderStorm st;
-      if (!s.is_object()) {
-        if (error != nullptr) *error = "bad storm window";
-        return false;
-      }
-      if (const JsonValue* v = s.find("t0")) st.t0 = v->as_double();
-      if (const JsonValue* v = s.find("t1")) st.t1 = v->as_double();
-      if (const JsonValue* v = s.find("factor")) st.factor = v->as_double();
-      out.storms.push_back(st);
-    }
-  }
-  if (const JsonValue* byz = j.find("byz")) {
-    for (const JsonValue& b : byz->items) {
-      HeaderByz hb;
-      if (!b.is_object()) {
-        if (error != nullptr) *error = "bad byz entry";
-        return false;
-      }
-      if (const JsonValue* v = b.find("p")) hb.p = v->as_u64();
-      if (const JsonValue* v = b.find("behavior")) {
-        hb.kind = static_cast<int>(v->as_i64());
-      }
-      if (const JsonValue* v = b.find("param")) hb.param = v->as_u64();
-      out.byz.push_back(hb);
-    }
-  }
-  if (const JsonValue* faulty = j.find("faulty")) {
-    for (const JsonValue& v : faulty->items) out.faulty.push_back(v.as_u64());
-  }
-  if (const JsonValue* inputs = j.find("inputs")) {
-    for (const JsonValue& row : inputs->items) {
-      std::vector<double> coords;
-      for (const JsonValue& c : row.items) coords.push_back(c.as_double());
-      out.inputs.push_back(std::move(coords));
-    }
-  }
+  if (!r.ok()) return r.fail(error);
   return true;
 }
 
@@ -604,8 +630,10 @@ bool parse_footer(std::string_view line, TraceFooter& out,
     return false;
   }
   out = TraceFooter{};
-  if (const JsonValue* q = j.find("quiescent")) out.quiescent = q->as_bool();
-  if (const JsonValue* d = j.find("decided")) out.decided = d->as_u64();
+  FieldReader r(j);
+  r.read("quiescent", out.quiescent);
+  r.read("decided", out.decided);
+  if (!r.ok()) return r.fail(error);
   return true;
 }
 

@@ -1,13 +1,14 @@
-// Multi-slot Bracha reliable broadcast over opaque byte payloads.
+// Multi-slot Bracha reliable broadcast over opaque byte payloads — the
+// substrate of the crash-to-Byzantine transformation the paper points to
+// (§1, citing Coan [6] and Attiya–Welch [3]; requires n >= 3f + 1).
 //
 // The Byzantine convex consensus protocol (src/bcc) needs each process to
 // reliably broadcast a *sequence* of values: its input (slot 0) and one
 // report per round (slot r+1). This component runs one independent Bracha
-// instance per (origin, slot) pair with the same quorums as
-// rbc::ReliableBroadcast (INIT -> ECHO on first INIT -> READY on n-f ECHOs
-// or f+1 READYs -> deliver on 2f+1 READYs), so its guarantees — validity,
-// agreement, integrity, totality among correct processes despite up to f
-// Byzantine ones — hold per slot.
+// instance per (origin, slot) pair (INIT -> ECHO on first INIT -> READY on
+// n-f ECHOs or f+1 READYs -> deliver on 2f+1 READYs), so its guarantees —
+// validity, agreement, integrity, totality among correct processes despite
+// up to f Byzantine ones — hold per slot.
 //
 // Payloads are raw bytes, compared exactly: two byte strings either match
 // or they are different candidate values, which is all the supporter

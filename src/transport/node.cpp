@@ -231,20 +231,9 @@ void NodeRuntime::start_instance(const InstanceSpec& spec) {
       std::move(cc), cfg_.rel, inst->tracer.get(), cfg_.epoch);
 
   if (inst->tracer->enabled()) {
-    obs::TraceHeader h;
+    obs::TraceHeader h = core::config_header(spec.cc);
     h.env = "live";
     h.perspective = static_cast<std::int64_t>(cfg_.id);
-    h.n = spec.cc.n;
-    h.f = spec.cc.f;
-    h.d = spec.cc.d;
-    h.eps = spec.cc.eps;
-    h.input_magnitude = spec.cc.input_magnitude;
-    h.rel_tol = spec.cc.rel_tol;
-    h.round0_naive = spec.cc.round0 == core::Round0Policy::kNaiveCollect;
-    h.max_polytope_vertices = spec.cc.max_polytope_vertices;
-    h.correct_inputs_model =
-        spec.cc.fault_model == core::FaultModel::kCrashCorrectInputs;
-    h.t_end = spec.cc.t_end();
     h.seed = spec.seed;
     h.reliable = true;
     h.rto = cfg_.rel.rto;

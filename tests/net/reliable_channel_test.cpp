@@ -12,7 +12,7 @@
 
 #include "common/check.hpp"
 #include "net/faulty_link.hpp"
-#include "rbc/bracha.hpp"
+#include "rbc/slotcast.hpp"
 #include "sim/simulation.hpp"
 
 namespace chc::net {
@@ -163,26 +163,28 @@ TEST(ReliableChannel, CrashedPeerIsAbandonedAndRunQuiesces) {
   EXPECT_TRUE(log.deliveries.empty());
 }
 
-TEST(ReliableChannel, BrachaRunsUnchangedOverLossyLinks) {
+TEST(ReliableChannel, SlotBroadcastRunsUnchangedOverLossyLinks) {
   // The Bracha reliable-broadcast layer, wrapped unmodified: every host
-  // delivers every honest value despite 25% drops.
+  // delivers every honest slot-0 value despite 25% drops.
   class Host final : public sim::Process {
    public:
     Host(std::size_t n, std::size_t f) : n_(n), f_(f) {}
     void on_start(sim::Context& ctx) override {
-      rb_ = std::make_unique<rbc::ReliableBroadcast>(
+      cast_ = std::make_unique<rbc::SlotBroadcast>(
           n_, f_, ctx.self(),
-          [](sim::Context&, sim::ProcessId, const geo::Vec&) {});
-      rb_->broadcast(ctx, geo::Vec{static_cast<double>(ctx.self())});
+          [this](sim::Context&, sim::ProcessId, std::uint32_t,
+                 const rbc::Bytes&) { ++delivered_; });
+      cast_->broadcast(ctx, 0, rbc::Bytes{std::uint8_t(ctx.self())});
     }
     void on_message(sim::Context& ctx, const sim::Message& msg) override {
-      rb_->on_message(ctx, msg);
+      cast_->on_message(ctx, msg);
     }
-    std::size_t delivered_count() const { return rb_->delivered().size(); }
+    std::size_t delivered_count() const { return delivered_; }
 
    private:
     std::size_t n_, f_;
-    std::unique_ptr<rbc::ReliableBroadcast> rb_;
+    std::unique_ptr<rbc::SlotBroadcast> cast_;
+    std::size_t delivered_ = 0;
   };
 
   const std::size_t n = 4, f = 1;

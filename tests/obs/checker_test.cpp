@@ -1,6 +1,7 @@
 // Offline checker end-to-end: traces produced by the harness are accepted
-// (with real work done), and hand-corrupted traces are rejected with the
-// right invariant named.
+// (with real work done), hand-corrupted traces are rejected with the right
+// invariant named, and malformed traces are reported as unparsed instead
+// of aborting the checker.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -192,6 +193,90 @@ TEST(Checker, RejectsRoundWithoutRoundStart) {
   const obs::CheckReport report = obs::check_trace_lines(lines);
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_invariant(report, "structure"));
+}
+
+/// Checks `lines` with the first `from` in line `at` replaced by `to`; the
+/// edit must apply.
+obs::CheckReport check_edited(std::vector<std::string> lines, std::size_t at,
+                              const std::string& from, const std::string& to) {
+  const std::size_t pos = lines.at(at).find(from);
+  EXPECT_NE(pos, std::string::npos) << from << " not in line " << at;
+  if (pos != std::string::npos) lines[at].replace(pos, from.size(), to);
+  return obs::check_trace_lines(lines);
+}
+
+TEST(Checker, ReportsWrongJsonTypeInHeader) {
+  const obs::CheckReport report =
+      check_edited(record(base_config(7)), 0, "\"n\":5", "\"n\":\"five\"");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("'n'"), std::string::npos)
+      << report.parse_error;
+}
+
+TEST(Checker, ReportsWrongJsonTypeInEvent) {
+  const obs::CheckReport report =
+      check_edited(record(base_config(7)), 1, "\"seq\":0", "\"seq\":\"x\"");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("'seq'"), std::string::npos)
+      << report.parse_error;
+}
+
+TEST(Checker, ReportsNegativeProcessId) {
+  // An integer field must hold an in-range integer, not a value that only
+  // an undefined conversion could turn into a process id.
+  const obs::CheckReport report =
+      check_edited(record(base_config(7)), 1, "\"p\":0", "\"p\":-1");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("'p'"), std::string::npos)
+      << report.parse_error;
+}
+
+TEST(Checker, ReportsInputRowOfWrongDimension) {
+  std::vector<std::string> lines = record(base_config(7));
+  obs::TraceHeader h;
+  ASSERT_TRUE(obs::parse_header(lines[0], h));
+  h.inputs[0].resize(1);
+  lines[0] = obs::to_jsonl(h);
+  const obs::CheckReport report = obs::check_trace_lines(lines);
+  EXPECT_FALSE(report.parsed);
+  EXPECT_FALSE(report.parse_error.empty());
+}
+
+TEST(Checker, ReportsSnapshotVertexOfWrongDimension) {
+  std::vector<std::string> lines = record(base_config(7));
+  obs::TraceEvent e;
+  const std::size_t idx = find_event_line(
+      lines,
+      [](const obs::TraceEvent& ev) {
+        return ev.kind == obs::EventKind::kRound;
+      },
+      &e);
+  ASSERT_NE(idx, static_cast<std::size_t>(-1));
+  e.verts[0] = geo::Vec{e.verts[0][0]};
+  lines[idx] = obs::to_jsonl(e);
+  const obs::CheckReport report = obs::check_trace_lines(lines);
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("line " + std::to_string(idx + 1)),
+            std::string::npos)
+      << report.parse_error;
+}
+
+TEST(Checker, ReportsFaultBudgetNotBelowN) {
+  // With f >= n, n - f wraps around and every view and sender set would
+  // look too small; the header itself is malformed.
+  const obs::CheckReport report =
+      check_edited(record(base_config(7)), 0, "\"f\":1", "\"f\":9");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_TRUE(report.violations.empty());
+}
+
+TEST(Checker, ReportsNonFiniteEps) {
+  // eps = inf would silently switch ε-agreement off.
+  const obs::CheckReport report = check_edited(
+      record(base_config(7)), 0, "\"eps\":0.15", "\"eps\":1e999");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("eps"), std::string::npos)
+      << report.parse_error;
 }
 
 }  // namespace

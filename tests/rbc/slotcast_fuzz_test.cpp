@@ -1,5 +1,7 @@
 // SlotBroadcast property/fuzz tests under genuine Byzantine senders:
-// equivocation and silent mid-broadcast drops across many seeds. The two
+// equivocation (per-receiver and lopsided), forged INIT/READY bursts in
+// another origin's name and silent mid-broadcast drops, across many seeds,
+// plus the construction and one-broadcast-per-slot contracts. The two
 // properties under attack:
 //
 //   agreement  — for every (origin, slot), all correct processes that
@@ -245,6 +247,102 @@ TEST(Slotcast, ValidatesAdversarialEnvelopes) {
     }
   }
   EXPECT_GT(rejected, 0u);
+}
+
+/// Byzantine origin that equivocates on slot 0 with a LOPSIDED split:
+/// process 0 is told {2}, everyone else {1}, so {1} can reach the echo
+/// quorum; it never echoes or readies anything itself.
+class LopsidedEquivocator final : public sim::Process {
+ public:
+  void on_start(sim::Context& ctx) override {
+    for (sim::ProcessId to = 0; to < ctx.n(); ++to) {
+      if (to == ctx.self()) continue;
+      ctx.send(to, kTagSlotInit,
+               SlotMsg{ctx.self(), 0, Bytes{std::uint8_t(to == 0 ? 2 : 1)}});
+    }
+  }
+  void on_message(sim::Context&, const sim::Message&) override {}
+};
+
+TEST(Slotcast, LopsidedEquivocationDeliversOneValueEverywhere) {
+  // n = 7, f = 2: five of six correct processes echo {1} (echo quorum
+  // n-f = 5 reached); every correct process must deliver exactly {1} for
+  // the Byzantine slot — including process 0, which was told {2}.
+  const std::size_t n = 7, f = 2;
+  std::size_t delivered_runs = 0;
+  for (std::uint64_t seed = 40; seed < 50; ++seed) {
+    sim::Simulation sim(n, seed, std::make_unique<sim::UniformDelay>(0.1, 1.0),
+                        {});
+    std::vector<Host*> honest;
+    for (sim::ProcessId p = 0; p + 1 < n; ++p) {
+      auto h = std::make_unique<Host>(
+          n, f, std::vector<Bytes>{Bytes{std::uint8_t(p), std::uint8_t(0)}});
+      honest.push_back(h.get());
+      sim.add_process(std::move(h));
+    }
+    sim.add_process(std::make_unique<LopsidedEquivocator>());
+    ASSERT_TRUE(sim.run().quiescent) << "seed=" << seed;
+    check_agreement_and_integrity(honest, 1, seed);
+    std::size_t got = 0;
+    for (const Host* h : honest) {
+      const auto it = h->delivered().find({6, 0});
+      if (it == h->delivered().end()) continue;
+      ++got;
+      EXPECT_EQ(it->second, Bytes{1}) << "seed=" << seed;
+    }
+    if (got == honest.size()) ++delivered_runs;
+  }
+  // The lopsided split reaches quorum in (essentially) every schedule.
+  EXPECT_GT(delivered_runs, 5u);
+}
+
+TEST(Slotcast, ForgedInitAndReadyFloodIgnored) {
+  // Process 3 forges an INIT and a READY burst in process 0's name for
+  // slot 0 with the bytes {99}; process 0 honestly broadcasts {0, 0}. No
+  // correct process may deliver the forgery.
+  class Forger final : public sim::Process {
+   public:
+    void on_start(sim::Context& ctx) override {
+      ctx.broadcast_others(kTagSlotInit, SlotMsg{0, 0, Bytes{99}});
+      ctx.broadcast_others(kTagSlotReady, SlotMsg{0, 0, Bytes{99}});
+    }
+    void on_message(sim::Context&, const sim::Message&) override {}
+  };
+
+  const std::size_t n = 4, f = 1;
+  sim::Simulation sim(n, 5, std::make_unique<sim::UniformDelay>(0.1, 1.0), {});
+  std::vector<Host*> honest;
+  for (sim::ProcessId p = 0; p + 1 < n; ++p) {
+    auto h = std::make_unique<Host>(
+        n, f, std::vector<Bytes>{Bytes{std::uint8_t(p), std::uint8_t(0)}});
+    honest.push_back(h.get());
+    sim.add_process(std::move(h));
+  }
+  sim.add_process(std::make_unique<Forger>());
+  ASSERT_TRUE(sim.run().quiescent);
+  for (const Host* h : honest) {
+    const auto it = h->delivered().find({0, 0});
+    ASSERT_NE(it, h->delivered().end());
+    EXPECT_EQ(it->second, (Bytes{0x00, 0x00}));
+  }
+}
+
+TEST(Slotcast, OneBroadcastPerSlot) {
+  class Doubler final : public sim::Process {
+   public:
+    void on_start(sim::Context& ctx) override {
+      SlotBroadcast cast(
+          4, 1, ctx.self(),
+          [](sim::Context&, sim::ProcessId, std::uint32_t, const Bytes&) {});
+      cast.broadcast(ctx, 0, Bytes{1});
+      EXPECT_THROW(cast.broadcast(ctx, 0, Bytes{2}), ContractViolation);
+      EXPECT_NO_THROW(cast.broadcast(ctx, 1, Bytes{2}));
+    }
+    void on_message(sim::Context&, const sim::Message&) override {}
+  };
+  sim::Simulation sim(4, 1, std::make_unique<sim::FixedDelay>(1.0), {});
+  for (int i = 0; i < 4; ++i) sim.add_process(std::make_unique<Doubler>());
+  sim.run(100000);
 }
 
 TEST(Slotcast, ContractChecks) {

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <sys/wait.h>
 
@@ -138,6 +139,22 @@ TEST(CliArgs, NoModeExitsTwoWithUsage) {
     EXPECT_NE(r.output.find("usage"), std::string::npos)
         << bin << ": " << r.output;
   }
+}
+
+TEST(CliArgs, CheckReportsMalformedTraceWithExitTwo) {
+  // A wrongly typed header field is a malformed trace: ERROR and exit 2,
+  // never an abort on an uncaught exception (exit 134).
+  const std::string path = testing::TempDir() + "chc_check_malformed.jsonl";
+  {
+    std::ofstream out(path);
+    out << "{\"kind\":\"header\",\"version\":1,\"env\":\"sim\","
+           "\"n\":\"five\",\"f\":1,\"d\":1,\"eps\":0.5,"
+           "\"inputs\":[[0],[1],[2],[3],[4]]}\n";
+  }
+  const CmdResult r = run_cmd(std::string(CHC_TOOL_CHECK_BIN) + " " + path);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("ERROR"), std::string::npos) << r.output;
+  std::remove(path.c_str());
 }
 
 TEST(CliArgs, HelpExitsZero) {

@@ -148,7 +148,8 @@ BENCHMARK(BM_EqualWeightCombinationMemoized)->Arg(8)->Arg(32);
 
 void BM_SubsetHullIntersection(benchmark::State& state) {
   // Round 0, line 5: intersect C(m, f) subset hulls (m = n-f points, f=2).
-  // Engine path: pooled subset hulls + prechecked-clip ordered reduction.
+  // Engine path: subset hulls built on the calling thread, then the
+  // prechecked-clip ordered reduction.
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto pts = cloud(m, 2, 5);
   for (auto _ : state) {
@@ -197,24 +198,6 @@ void BM_SubsetHullIntersection3d_Reference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SubsetHullIntersection3d_Reference)->Arg(8)->Arg(12);
-
-void BM_SubsetHullIntersectionThreads(benchmark::State& state) {
-  // Thread scaling of the subset fan-out: args are (m, threads), f = 2.
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto pts = cloud(m, 2, 5);
-  common::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(intersection_of_subset_hulls(pts, 2));
-  }
-  common::ThreadPool::set_global_threads(0);
-}
-BENCHMARK(BM_SubsetHullIntersectionThreads)
-    ->Args({10, 1})
-    ->Args({10, 2})
-    ->Args({10, 4})
-    ->Args({17, 1})
-    ->Args({17, 4});
 
 void BM_Hausdorff(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(0));

@@ -66,7 +66,7 @@ void VectorConsensusProcess::on_message(sim::Context& ctx,
     return;
   }
   CHC_CHECK(msg.tag == kTagPointRound, "unexpected tag for vector consensus");
-  const auto& pm = std::any_cast<const PointMsg&>(msg.payload);
+  const auto& pm = std::any_cast<const PointMsg&>(*msg.payload);
   if (decision_.has_value()) return;
   inbox_[pm.round].emplace(msg.from, pm.p);
   if (round0_done_ && !round0_failed_ && pm.round == current_round_) {

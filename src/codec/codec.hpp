@@ -1,12 +1,13 @@
 // Binary wire format for the library's message payloads.
 //
-// The in-process runtimes pass payloads as std::any, but a deployment
-// across address spaces needs bytes. This codec defines a compact
-// little-endian, length-prefixed format for every payload type the
-// protocols exchange, with strict bounds-checked decoding (a malformed or
-// truncated buffer never reads out of range — Byzantine peers may send
-// garbage). It also gives the experiments a principled message-size
-// accounting (bytes on the wire, not just message counts).
+// The in-process runtimes pass payloads as shared, immutable std::any
+// values (sim::Payload), but a deployment across address spaces needs
+// bytes. This codec defines a compact little-endian, length-prefixed
+// format for every payload type the protocols exchange, with strict
+// bounds-checked decoding (a malformed or truncated buffer never reads out
+// of range — Byzantine peers may send garbage). It also gives the
+// experiments a principled message-size accounting (bytes on the wire,
+// not just message counts).
 //
 // Format primitives:
 //   u32 / u64  — little-endian fixed width
@@ -87,7 +88,8 @@ std::optional<dsm::View> decode_view(const Buffer& buf,
 // length-prefixed opaque bytes (encoded with this codec by the tag's
 // documented type). ACK frames carry the cumulative ack plus both epochs.
 // This is the byte format a cross-address-space ReliableChannel would put
-// on the wire; the in-process runtimes keep payloads as std::any.
+// on the wire; the in-process runtimes keep the inner payload as the
+// net::RelData's shared sim::Payload.
 struct RelFrame {
   std::uint64_t seq = 0;
   std::uint64_t cum_ack = 0;

@@ -1,5 +1,10 @@
 // Fixed-size worker pool for the geometry kernel engine.
 //
+// Only the d >= 3 kernels use it: the general-dimension subset-hull path
+// and linear_combination_tree (geometry/ops.cpp). The d <= 2 kernels run
+// on the calling thread — their work per call is too small to pay for a
+// fan-out — so svc shards and node threads at d <= 2 never touch it.
+//
 // The pool exposes exactly one primitive, parallel_for: run `job(i)` for
 // i in [0, njobs) and block until all complete. Work is index-addressed so
 // callers collect results into pre-sized, index-ordered buffers — the

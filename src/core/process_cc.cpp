@@ -141,12 +141,13 @@ void CCProcess::on_message(sim::Context& ctx, const sim::Message& msg) {
     return;
   }
   if (msg.tag == kTagNaiveInput) {
-    naive_inbox_.emplace(msg.from, std::any_cast<const geo::Vec&>(msg.payload));
+    naive_inbox_.emplace(msg.from,
+                         std::any_cast<const geo::Vec&>(*msg.payload));
     maybe_complete_naive_round0(ctx);
     return;
   }
   CHC_CHECK(msg.tag == kTagRound, "unexpected message tag for CCProcess");
-  const auto& rm = std::any_cast<const RoundMsg&>(msg.payload);
+  const auto& rm = std::any_cast<const RoundMsg&>(*msg.payload);
   CHC_INTERNAL(rm.round >= 1, "round messages start at round 1");
   if (decision_.has_value()) return;  // already terminated
   if (rm.round < current_round_) {

@@ -75,7 +75,7 @@ void GrowOnlyStore::collect(sim::Context& ctx, CollectDone done) {
 void GrowOnlyStore::on_message(sim::Context& ctx, const sim::Message& msg) {
   switch (msg.tag) {
     case kTagWrite: {  // server: merge one slot
-      const auto& w = std::any_cast<const WriteMsg&>(msg.payload);
+      const auto& w = std::any_cast<const WriteMsg&>(*msg.payload);
       if (!slots_[w.origin].has_value()) slots_[w.origin] = w.value;
       ctx.send(msg.from, kTagWriteAck, AckMsg{0});
       break;
@@ -90,13 +90,13 @@ void GrowOnlyStore::on_message(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kTagGather: {  // server: report replica
-      const auto& g = std::any_cast<const GatherMsg&>(msg.payload);
+      const auto& g = std::any_cast<const GatherMsg&>(*msg.payload);
       ctx.send(msg.from, kTagGatherReply, ViewMsg{g.op, slots_});
       break;
     }
     case kTagGatherReply: {  // client: union replies, then write back
       if (collect_phase_ != CollectPhase::kGather) break;
-      const auto& r = std::any_cast<const ViewMsg&>(msg.payload);
+      const auto& r = std::any_cast<const ViewMsg&>(*msg.payload);
       if (r.op != collect_op_) break;
       for (std::size_t i = 0; i < n_; ++i) {
         if (r.view[i].has_value() && !collect_union_[i].has_value()) {
@@ -113,14 +113,14 @@ void GrowOnlyStore::on_message(sim::Context& ctx, const sim::Message& msg) {
       break;
     }
     case kTagStore: {  // server: merge a whole view
-      const auto& s = std::any_cast<const ViewMsg&>(msg.payload);
+      const auto& s = std::any_cast<const ViewMsg&>(*msg.payload);
       merge_into_replica(s.view);
       ctx.send(msg.from, kTagStoreAck, AckMsg{s.op});
       break;
     }
     case kTagStoreAck: {  // client: count write-back quorum
       if (collect_phase_ != CollectPhase::kStore) break;
-      const auto& a = std::any_cast<const AckMsg&>(msg.payload);
+      const auto& a = std::any_cast<const AckMsg&>(*msg.payload);
       if (a.op != collect_op_) break;
       if (++collect_replies_ >= quorum()) {
         collect_phase_ = CollectPhase::kIdle;

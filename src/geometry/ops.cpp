@@ -314,7 +314,7 @@ Polytope linear_combination_1d(const std::vector<Polytope>& polys,
   return Polytope::from_points({Vec{lo}, Vec{hi}}, rel_tol);
 }
 
-// --- Engine: parallel subset hulls ---------------------------------------
+// --- Engine: subset hulls -----------------------------------------------
 
 /// One (|X|-drop)-subset's hull in 2-D: CCW vertex polygon plus the edge
 /// halfplanes the ordered reduction clips with.
@@ -485,23 +485,15 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
 
   if (drop == 0) return Polytope::from_points(points, rel_tol);
 
-  // Materialize the lexicographic subset order once: the fan-out below is
-  // indexed by subset rank, so the reduction consumes hulls in exactly the
-  // order the serial enumeration would produce them — bit-identical
-  // results for every CHC_GEO_THREADS value.
-  std::vector<std::vector<std::size_t>> subsets;
-  for_each_drop(points.size(), drop,
-                [&](const std::vector<std::size_t>& kept) {
-                  subsets.push_back(kept);
-                  return true;
-                });
-  common::ThreadPool& pool = common::ThreadPool::global();
-
   if (d == 2) {
-    std::vector<SubsetHull2d> hulls(subsets.size());
-    pool.parallel_for(subsets.size(), [&](std::size_t i) {
-      hulls[i] = build_subset_hull2d(points, subsets[i], rel_tol);
-    });
+    // A round-0 call builds a handful of small hulls: they are built on the
+    // calling thread, in lexicographic subset order.
+    std::vector<SubsetHull2d> hulls;
+    for_each_drop(points.size(), drop,
+                  [&](const std::vector<std::size_t>& kept) {
+                    hulls.push_back(build_subset_hull2d(points, kept, rel_tol));
+                    return true;
+                  });
 
     double scale = 1.0;
     for (const SubsetHull2d& h : hulls) {
@@ -523,13 +515,29 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
     return Polytope::from_points(reduction.poly(), rel_tol);
   }
 
+  // Materialize the lexicographic subset order once: at d >= 3 the
+  // quickhulls fan out to the pool indexed by subset rank, so the halfspace
+  // system is concatenated in exactly the order the serial enumeration
+  // would produce — bit-identical results for every CHC_GEO_THREADS value.
+  // d = 1 builds its intervals in a plain loop.
+  std::vector<std::vector<std::size_t>> subsets;
+  for_each_drop(points.size(), drop,
+                [&](const std::vector<std::size_t>& kept) {
+                  subsets.push_back(kept);
+                  return true;
+                });
   std::vector<std::vector<Halfspace>> sub_hs(subsets.size());
-  pool.parallel_for(subsets.size(), [&](std::size_t i) {
+  const auto build = [&](std::size_t i) {
     std::vector<Vec> sub;
     sub.reserve(subsets[i].size());
     for (std::size_t k : subsets[i]) sub.push_back(points[k]);
     sub_hs[i] = Polytope::from_points(sub, rel_tol).halfspaces();
-  });
+  };
+  if (d == 1) {
+    for (std::size_t i = 0; i < subsets.size(); ++i) build(i);
+  } else {
+    common::ThreadPool::global().parallel_for(subsets.size(), build);
+  }
   std::vector<Halfspace> hs;  // concatenated in subset-rank order
   for (std::vector<Halfspace>& shs : sub_hs) {
     hs.insert(hs.end(), std::make_move_iterator(shs.begin()),

@@ -13,11 +13,13 @@
 //    dimension (subtree merges run on the common::ThreadPool).
 //  * intersection_of_subset_hulls — ∩_{C ⊆ X, |C| = |X|-f} H(C), shared by
 //    line 5 (on X_i) and the I_Z lower bound (on X_Z). Subset hulls are
-//    computed in parallel on the pool and reduced in subset-rank order, so
-//    the result is bit-identical for every thread count (DESIGN.md §9).
+//    built on the calling thread for d <= 2 and in parallel on the pool for
+//    d >= 3, and reduced in subset-rank order, so the result is
+//    bit-identical for every thread count (DESIGN.md §9).
 //
-// Threading knob: CHC_GEO_THREADS sizes the shared pool (1 = fully serial,
-// unset = hardware_concurrency); see common/thread_pool.hpp.
+// Threading knob: CHC_GEO_THREADS sizes the shared pool the d >= 3 kernels
+// use (1 = fully serial, unset = hardware_concurrency); see
+// common/thread_pool.hpp.
 #pragma once
 
 #include <cstddef>

@@ -39,16 +39,19 @@ class ReliableChannel::CtxWrap final : public sim::Context {
   void send(sim::ProcessId to, int tag, std::any payload) override {
     CHC_CHECK(!ReliableChannel::handles(tag),
               "wrapped process may not use the shim's reserved wire tags");
-    shim_->reliable_send(*outer_, to, tag, std::move(payload));
+    shim_->reliable_send(*outer_, to, tag,
+                         sim::make_payload(std::move(payload)));
   }
 
   void broadcast_others(int tag, const std::any& payload) override {
     // Per-recipient reliable sends: each wire transmission individually
     // consumes the sender's crash budget, preserving mid-broadcast-crash
-    // partial delivery semantics at the wire level.
+    // partial delivery semantics at the wire level. Every recipient's
+    // frame shares one copy of the payload.
+    const sim::Payload shared = sim::make_payload(payload);
     for (sim::ProcessId to = 0; to < outer_->n(); ++to) {
       if (to == self()) continue;
-      shim_->reliable_send(*outer_, to, tag, payload);
+      shim_->reliable_send(*outer_, to, tag, shared);
     }
   }
 
@@ -92,7 +95,7 @@ sim::Time ReliableChannel::jittered(sim::Time rto, Rng& rng) const {
 }
 
 void ReliableChannel::reliable_send(sim::Context& ctx, sim::ProcessId to,
-                                    int tag, std::any payload) {
+                                    int tag, sim::Payload payload) {
   ensure_peers(ctx);
   Peer& peer = peers_[to];
   if (peer.gave_up) {
@@ -102,7 +105,7 @@ void ReliableChannel::reliable_send(sim::Context& ctx, sim::ProcessId to,
   Outstanding o;
   o.seq = peer.next_seq++;
   o.tag = tag;
-  o.payload = payload;  // kept for retransmission
+  o.payload = payload;  // shared with the frame, kept for retransmission
   o.cur_rto = params_.rto;
   o.next_at = ctx.now() + jittered(params_.rto, ctx.rng());
   peer.window.push_back(std::move(o));
@@ -151,7 +154,7 @@ void ReliableChannel::reset_peer(sim::Context& ctx, sim::ProcessId peer_id,
 }
 
 void ReliableChannel::deliver_to_inner(sim::Context& ctx, sim::ProcessId from,
-                                       int tag, std::any payload) {
+                                       int tag, sim::Payload payload) {
   ++stats_.delivered;
   sim::Message m{from, ctx.self(), tag, std::move(payload)};
   CtxWrap wrapped(this, &ctx);
@@ -183,7 +186,7 @@ void ReliableChannel::on_start(sim::Context& ctx) {
 void ReliableChannel::on_message(sim::Context& ctx, const sim::Message& msg) {
   ensure_peers(ctx);
   if (msg.tag == kTagRelData) {
-    const auto& data = std::any_cast<const RelData&>(msg.payload);
+    const auto& data = std::any_cast<const RelData&>(*msg.payload);
     Peer& peer = peers_[msg.from];
     // Epoch gates, learn-before-gate order (see header comment).
     if (data.src_epoch < peer.epoch) {
@@ -219,7 +222,7 @@ void ReliableChannel::on_message(sim::Context& ctx, const sim::Message& msg) {
     ctx.send(msg.from, kTagRelAck,
              RelAck{peer.recv_next, epoch_, data.src_epoch});
   } else if (msg.tag == kTagRelAck) {
-    const auto& ack = std::any_cast<const RelAck&>(msg.payload);
+    const auto& ack = std::any_cast<const RelAck&>(*msg.payload);
     Peer& peer = peers_[msg.from];
     if (ack.src_epoch < peer.epoch) {
       ++stats_.stale_epoch_dropped;

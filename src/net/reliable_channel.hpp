@@ -35,12 +35,17 @@
 // restarts converge because each side's first frame teaches the other its
 // new epoch.
 //
+// Payload sharing: the wrapped process's payload is wrapped into one
+// sim::Payload where it enters the shim (CtxWrap). The DATA frame, the
+// unacked window entry kept for retransmission, every retransmitted or
+// renumbered frame, the receiver's reorder buffer and the Message finally
+// delivered to the inner process all hold that same immutable object.
+//
 // Tag/token budget: wire tags 900-901 and timer token 910000 are reserved
 // for the shim; wrapped protocols must not use them (the repo's layers use
 // tags 100-412 and tokens < 1000).
 #pragma once
 
-#include <any>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -64,7 +69,7 @@ struct RelData {
   std::uint64_t seq = 0;      ///< per directed channel, from 0
   std::uint64_t cum_ack = 0;  ///< piggyback: next seq expected from peer
   int tag = 0;                ///< wrapped message's tag
-  std::any payload;           ///< wrapped message's payload
+  sim::Payload payload;       ///< wrapped message's payload (shared)
   std::uint32_t src_epoch = 0;  ///< sender's incarnation
   std::uint32_t dst_epoch = 0;  ///< sender's view of the receiver's epoch
 };
@@ -127,7 +132,7 @@ class ReliableChannel final : public sim::Process {
   struct Outstanding {
     std::uint64_t seq = 0;
     int tag = 0;
-    std::any payload;
+    sim::Payload payload;
     sim::Time next_at = 0.0;  ///< earliest retransmission time
     sim::Time cur_rto = 0.0;
     std::size_t retries = 0;
@@ -139,7 +144,7 @@ class ReliableChannel final : public sim::Process {
     std::deque<Outstanding> window;    // sender: unacked, seq-ascending
     bool gave_up = false;              // sender: peer presumed crashed
     std::uint64_t recv_next = 0;       // receiver: next seq expected
-    std::map<std::uint64_t, std::pair<int, std::any>> reorder;
+    std::map<std::uint64_t, std::pair<int, sim::Payload>> reorder;
     std::uint32_t epoch = 0;           // last known peer incarnation
   };
 
@@ -150,7 +155,7 @@ class ReliableChannel final : public sim::Process {
   void ensure_tick(sim::Context& ctx);
   sim::Time jittered(sim::Time rto, Rng& rng) const;
   void reliable_send(sim::Context& ctx, sim::ProcessId to, int tag,
-                     std::any payload);
+                     sim::Payload payload);
   void apply_ack(sim::ProcessId peer_id, std::uint64_t cum_ack);
   /// The peer restarted with a newer epoch: restart the receive stream,
   /// renumber + resend the unacked window, rescind any give-up.
@@ -159,7 +164,7 @@ class ReliableChannel final : public sim::Process {
   void deliver_in_order(sim::Context& ctx, sim::ProcessId from,
                         const RelData& first);
   void deliver_to_inner(sim::Context& ctx, sim::ProcessId from, int tag,
-                        std::any payload);
+                        sim::Payload payload);
 
   std::unique_ptr<sim::Process> inner_;
   ReliableParams params_;

@@ -54,7 +54,7 @@ bool SlotBroadcast::count_support(
 
 void SlotBroadcast::on_message(sim::Context& ctx, const sim::Message& msg) {
   // Everything here is adversarial input: validate, drop, never throw.
-  const SlotMsg* sm = std::any_cast<SlotMsg>(&msg.payload);
+  const SlotMsg* sm = std::any_cast<SlotMsg>(msg.payload.get());
   if (sm == nullptr || sm->origin >= n_ || sm->slot > options_.max_slot ||
       sm->bytes.size() > options_.max_payload) {
     ++rejected_;

@@ -1,5 +1,6 @@
 #include "sim/simulation.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/check.hpp"
@@ -19,27 +20,28 @@ class Simulation::ContextImpl final : public Context {
   void send(ProcessId to, int tag, std::any payload) override {
     CHC_CHECK(to < sim_->n_, "send target out of range");
     if (!sim_->consume_send_budget(pid_, now_)) return;
-    sim_->enqueue_send(pid_, to, tag, std::move(payload), now_);
+    sim_->enqueue_send(pid_, to, tag, make_payload(std::move(payload)), now_);
   }
 
   void broadcast_others(int tag, const std::any& payload) override {
+    // One copy of the value, shared by every recipient.
+    const Payload shared = make_payload(payload);
     for (ProcessId to = 0; to < sim_->n_; ++to) {
       if (to == pid_) continue;
       // Each send individually consumes crash budget: a mid-broadcast crash
       // truncates the loop, so only a prefix of recipients gets the message.
       if (!sim_->consume_send_budget(pid_, now_)) return;
-      sim_->enqueue_send(pid_, to, tag, payload, now_);
+      sim_->enqueue_send(pid_, to, tag, shared, now_);
     }
   }
 
   void set_timer(Time delay, int token) override {
     CHC_CHECK(delay > 0.0, "timer delay must be positive");
     Event e;
-    e.t = now_ + delay;
     e.kind = EventKind::kTimer;
     e.target = pid_;
     e.token = token;
-    sim_->push_event(std::move(e));
+    sim_->push_event(now_ + delay, std::move(e));
   }
 
   Rng& rng() override { return sim_->proc_rngs_[pid_]; }
@@ -62,7 +64,8 @@ Simulation::Simulation(std::size_t n, std::uint64_t seed,
       crash_time_(n, std::numeric_limits<Time>::infinity()),
       sends_done_(n, 0),
       plan_spent_(n, false),
-      incarnation_(n, 0) {
+      incarnation_(n, 0),
+      channel_front_(n * n, 0.0) {
   CHC_CHECK(n_ >= 1, "simulation needs at least one process");
   CHC_CHECK(delay_ != nullptr, "delay model required");
   proc_rngs_.reserve(n_);
@@ -101,9 +104,18 @@ void Simulation::set_metrics(obs::Registry* metrics) {
           : nullptr;
 }
 
-void Simulation::push_event(Event e) {
-  e.seq = next_seq_++;
-  queue_.push(std::move(e));
+void Simulation::push_event(Time t, Event e) {
+  if (free_slots_.empty()) {
+    CHC_INTERNAL(slab_.size() < std::numeric_limits<std::uint32_t>::max(),
+                 "event slab exhausted");
+    free_slots_.push_back(static_cast<std::uint32_t>(slab_.size()));
+    slab_.emplace_back();
+  }
+  const std::uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slab_[slot] = std::move(e);
+  heap_.push_back(Key{t, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), KeyAfter{});
 }
 
 bool Simulation::consume_send_budget(ProcessId from, Time now) {
@@ -124,7 +136,7 @@ bool Simulation::consume_send_budget(ProcessId from, Time now) {
 }
 
 void Simulation::enqueue_send(ProcessId from, ProcessId to, int tag,
-                              std::any payload, Time now) {
+                              Payload payload, Time now) {
   ++stats_.messages_sent;
   ++stats_.sent_by_tag[tag];
   tracer_->emit_with([&] {
@@ -181,7 +193,7 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, int tag,
       // Reliable FIFO: never deliver before an earlier message on this
       // channel. Reordered messages skip the clamp entirely — they neither
       // wait for nor advance the channel front.
-      Time& front = channel_front_[{from, to}];
+      Time& front = channel_front_[from * n_ + to];
       at = std::max(at, front + 1e-9);
       front = at;
     }
@@ -189,12 +201,11 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, int tag,
     if (delivery_latency_ != nullptr) delivery_latency_->observe(at - now);
 
     Event e;
-    e.t = at;
     e.kind = EventKind::kDeliver;
     e.target = to;
     e.msg = Message{from, to, tag,
                     copy + 1 == fate.copies ? std::move(payload) : payload};
-    push_event(std::move(e));
+    push_event(at, std::move(e));
   }
 }
 
@@ -245,53 +256,54 @@ RunResult Simulation::run(std::uint64_t max_events) {
               "installed");
     for (ProcessId p = 0; p < n_; ++p) {
       Event e;
-      e.t = 0.0;
       e.kind = EventKind::kStart;
       e.target = p;
-      push_event(std::move(e));
+      push_event(0.0, std::move(e));
       if (const CrashPlan* plan = crashes_.plan_for(p)) {
         if (plan->at_time) {
           Event c;
-          c.t = *plan->at_time;
           c.kind = EventKind::kCrashAtTime;
           c.target = p;
-          push_event(std::move(c));
+          push_event(*plan->at_time, std::move(c));
         }
         if (plan->recover_at) {
           CHC_CHECK(!plan->at_time || *plan->recover_at > *plan->at_time,
                     "recover_at must come after at_time");
           Event r;
-          r.t = *plan->recover_at;
           r.kind = EventKind::kRecoverAt;
           r.target = p;
-          push_event(std::move(r));
+          push_event(*plan->recover_at, std::move(r));
         }
       }
     }
   }
 
   RunResult result;
-  while (!queue_.empty()) {
+  while (!heap_.empty()) {
     if (stats_.events_processed >= max_events) {
       result.quiescent = false;
       result.stats = stats_;
       return result;
     }
-    Event e = queue_.top();
-    queue_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), KeyAfter{});
+    const Key key = heap_.back();
+    heap_.pop_back();
+    const Event e = std::move(slab_[key.slot]);
+    free_slots_.push_back(key.slot);
+    const Time t = key.t;
     ++stats_.events_processed;
-    stats_.end_time = e.t;
+    stats_.end_time = t;
 
     switch (e.kind) {
       case EventKind::kCrashAtTime:
-        crash_now(e.target, e.t);
+        crash_now(e.target, t);
         break;
       case EventKind::kRecoverAt:
-        recover_now(e.target, e.t);
+        recover_now(e.target, t);
         break;
       case EventKind::kStart: {
         if (crashed_[e.target]) break;
-        ContextImpl ctx(this, e.target, e.t);
+        ContextImpl ctx(this, e.target, t);
         procs_[e.target]->on_start(ctx);
         break;
       }
@@ -301,7 +313,7 @@ RunResult Simulation::run(std::uint64_t max_events) {
           tracer_->emit_with([&] {
             obs::TraceEvent ev;
             ev.kind = obs::EventKind::kDropCrashed;
-            ev.t = e.t;
+            ev.t = t;
             ev.p = e.target;
             ev.peer = e.msg.from;
             ev.tag = e.msg.tag;
@@ -313,20 +325,20 @@ RunResult Simulation::run(std::uint64_t max_events) {
         tracer_->emit_with([&] {
           obs::TraceEvent ev;
           ev.kind = obs::EventKind::kRecv;
-          ev.t = e.t;
+          ev.t = t;
           ev.p = e.target;
           ev.peer = e.msg.from;
           ev.tag = e.msg.tag;
           return ev;
         });
-        ContextImpl ctx(this, e.target, e.t);
+        ContextImpl ctx(this, e.target, t);
         procs_[e.target]->on_message(ctx, e.msg);
         break;
       }
       case EventKind::kTimer: {
         if (crashed_[e.target]) break;
         ++stats_.timers_fired;
-        ContextImpl ctx(this, e.target, e.t);
+        ContextImpl ctx(this, e.target, t);
         procs_[e.target]->on_timer(ctx, e.token);
         break;
       }

@@ -8,7 +8,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -51,6 +50,8 @@ struct SimStats {
 
   /// Crash-recover restarts performed (CrashPlan::recover_at).
   std::uint64_t recoveries = 0;
+
+  bool operator==(const SimStats&) const = default;
 };
 
 struct RunResult {
@@ -119,17 +120,25 @@ class Simulation {
  private:
   enum class EventKind { kStart, kDeliver, kTimer, kCrashAtTime, kRecoverAt };
 
+  /// An event's body. It sits in a slab slot from push to pop and is moved
+  /// out once, when it runs; only its 24-byte Key moves through the heap.
   struct Event {
-    Time t = 0.0;
-    std::uint64_t seq = 0;  // tie-break for determinism
     EventKind kind = EventKind::kStart;
     ProcessId target = 0;
     Message msg;    // kDeliver
     int token = 0;  // kTimer
   };
 
-  struct EventAfter {
-    bool operator()(const Event& a, const Event& b) const {
+  struct Key {
+    Time t = 0.0;
+    std::uint64_t seq = 0;  // tie-break for determinism
+    std::uint32_t slot = 0;
+  };
+
+  /// Heap order: earliest t first, then push order. seq is unique, so the
+  /// pop sequence is a function of (t, seq) alone.
+  struct KeyAfter {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
@@ -138,8 +147,8 @@ class Simulation {
   class ContextImpl;
   friend class ContextImpl;
 
-  void push_event(Event e);
-  void enqueue_send(ProcessId from, ProcessId to, int tag, std::any payload,
+  void push_event(Time t, Event e);
+  void enqueue_send(ProcessId from, ProcessId to, int tag, Payload payload,
                     Time now);
   /// Returns false (and marks the sender crashed) when the crash schedule
   /// says this send must not happen.
@@ -168,10 +177,15 @@ class Simulation {
   std::vector<std::size_t> incarnation_;
   ProcessFactory factory_;
 
-  // FIFO enforcement: earliest allowed next delivery per directed channel.
-  std::map<std::pair<ProcessId, ProcessId>, Time> channel_front_;
+  // FIFO enforcement: earliest allowed next delivery per directed channel,
+  // row-major n x n (from * n + to).
+  std::vector<Time> channel_front_;
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> queue_;
+  // Pending events: bodies in a slab (free slots recycled), keys in a
+  // binary min-heap under KeyAfter.
+  std::vector<Event> slab_;
+  std::vector<std::uint32_t> free_slots_;
+  std::vector<Key> heap_;
   std::uint64_t next_seq_ = 0;
   bool started_ = false;
   SimStats stats_;

@@ -128,7 +128,8 @@ class NodeRuntime::Ctx final : public sim::Context {
     if (to == rt_.cfg_.id) {
       // Local loop: no serialization, delivered on the next drain.
       rt_.local_q_.emplace_back(
-          inst_.id, sim::Message{to, to, tag, std::move(payload)});
+          inst_.id,
+          sim::Message{to, to, tag, sim::make_payload(std::move(payload))});
       return;
     }
     WireFrame frame;
@@ -304,12 +305,12 @@ void NodeRuntime::dispatch(Instance& inst, NodeId from,
     auto data = from_rel_frame(*rel, inst.max_decode_vertices());
     if (!data) return;
     msg.tag = net::kTagRelData;
-    msg.payload = std::move(*data);
+    msg.payload = sim::make_payload(std::move(*data));
   } else if (frame.kind == FrameKind::kAck) {
     const auto ack = codec::decode_rel_ack(frame.payload);
     if (!ack) return;
     msg.tag = net::kTagRelAck;
-    msg.payload = from_rel_ack(*ack);
+    msg.payload = sim::make_payload(from_rel_ack(*ack));
   } else {
     return;  // HELLOs are consumed by the transport
   }

@@ -181,7 +181,8 @@ std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf,
 }
 
 std::optional<codec::RelFrame> to_rel_frame(const net::RelData& d) {
-  auto inner = encode_payload(d.tag, d.payload);
+  if (d.payload == nullptr) return std::nullopt;
+  auto inner = encode_payload(d.tag, *d.payload);
   if (!inner) return std::nullopt;
   codec::RelFrame f;
   f.seq = d.seq;
@@ -201,7 +202,7 @@ std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f,
   d.seq = f.seq;
   d.cum_ack = f.cum_ack;
   d.tag = f.inner_tag;
-  d.payload = std::move(*payload);
+  d.payload = sim::make_payload(std::move(*payload));
   d.src_epoch = f.src_epoch;
   d.dst_epoch = f.dst_epoch;
   return d;

@@ -1,8 +1,9 @@
 // std::any <-> bytes for every protocol payload the cluster ships.
 //
-// The in-process runtimes pass sim::Message payloads as std::any; a real
-// deployment needs bytes. This module maps each wire tag the reliable
-// channel can carry as an *inner* payload onto the byte codec:
+// The in-process runtimes pass sim::Message payloads as sim::Payload, a
+// shared immutable std::any; a real deployment needs bytes. This module
+// maps each wire tag the reliable channel can carry as an *inner* payload
+// onto the byte codec:
 //
 //   tag 100 dsm::WriteMsg      [u64 origin][vec]
 //   tag 101 dsm::AckMsg        [u64 op]
@@ -45,7 +46,8 @@ std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf,
 /// RelData -> wire frame. nullopt when the inner payload is unsupported.
 std::optional<codec::RelFrame> to_rel_frame(const net::RelData& d);
 
-/// Wire frame -> RelData (inner payload decoded through decode_payload).
+/// Wire frame -> RelData (inner payload decoded through decode_payload and
+/// wrapped into the frame's one sim::Payload).
 std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f,
                                            std::size_t max_vertices = 4096);
 

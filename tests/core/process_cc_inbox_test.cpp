@@ -60,7 +60,8 @@ CCConfig naive_config() {
 
 void deliver_input(CCProcess& p, MockContext& ctx, sim::ProcessId from,
                    double x) {
-  sim::Message m{from, ctx.self(), kTagNaiveInput, geo::Vec{x}};
+  sim::Message m{from, ctx.self(), kTagNaiveInput,
+                 sim::make_payload(geo::Vec{x})};
   p.on_message(ctx, m);
 }
 
@@ -69,7 +70,7 @@ void deliver_round(CCProcess& p, MockContext& ctx, sim::ProcessId from,
   RoundMsg rm{round,
               geo::intern(geo::Polytope::from_points({geo::Vec{lo},
                                                       geo::Vec{hi}}))};
-  sim::Message m{from, ctx.self(), kTagRound, rm};
+  sim::Message m{from, ctx.self(), kTagRound, sim::make_payload(rm)};
   p.on_message(ctx, m);
 }
 

@@ -31,7 +31,7 @@ class Burst final : public sim::Process {
     for (int i = 1; i <= burst_; ++i) ctx.send(target_, kTagData, int{i});
   }
   void on_message(sim::Context&, const sim::Message& msg) override {
-    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(msg.payload));
+    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(*msg.payload));
   }
 
  private:

@@ -34,7 +34,7 @@ class Burst final : public sim::Process {
     for (int i = 1; i <= burst_; ++i) ctx.send(target_, kTagData, int{i});
   }
   void on_message(sim::Context&, const sim::Message& msg) override {
-    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(msg.payload));
+    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(*msg.payload));
   }
 
  private:
@@ -84,6 +84,71 @@ TEST(ReliableChannel, ExactlyOnceFifoOverLossyNetwork) {
   EXPECT_GT(out.shims.retransmits, 0u);
   EXPECT_EQ(out.shims.retransmit_by_tag.at(kTagData), out.shims.retransmits);
   EXPECT_EQ(out.shims.channels_abandoned, 0u);
+}
+
+/// A payload that counts its copies (moves are free).
+struct Counted {
+  static inline int copies = 0;
+  int value = 0;
+  explicit Counted(int v) : value(v) {}
+  Counted(const Counted& o) : value(o.value) { ++copies; }
+  Counted(Counted&& o) noexcept : value(o.value) {}
+};
+
+TEST(ReliableChannel, PayloadIsSharedAcrossRetransmitsDupsAndReordering) {
+  // The shim wraps a payload once where it enters (CtxWrap) and the DATA
+  // frames, their duplicates and retransmissions, the reorder buffer and
+  // the delivered Message all share it: at most one copy per logical send
+  // (the entry copy a broadcast_others(const std::any&) must take).
+  constexpr int kSends = 40;
+  class Sender final : public sim::Process {
+   public:
+    void on_start(sim::Context& ctx) override {
+      if (ctx.self() != 0) return;
+      for (int i = 1; i <= kSends; ++i) {
+        if (i % 2 == 0) {
+          ctx.broadcast_others(kTagData, Counted{i});
+        } else {
+          ctx.send(1, kTagData, Counted{i});
+          ctx.send(2, kTagData, Counted{i});
+        }
+      }
+    }
+    void on_message(sim::Context& ctx, const sim::Message& msg) override {
+      got_[ctx.self()].push_back(
+          std::any_cast<const Counted&>(*msg.payload).value);
+    }
+    std::vector<int>* got_ = nullptr;
+  };
+
+  std::vector<std::vector<int>> got(3);
+  sim::Simulation sim(3, 5, std::make_unique<sim::UniformDelay>(0.1, 1.0),
+                      {});
+  sim.set_fault_model(std::make_unique<FaultyLinkModel>(
+      NetworkPolicy::lossy(0.3, 0.1, 0.2)));
+  std::vector<ReliableChannel*> shims;
+  for (int p = 0; p < 3; ++p) {
+    auto sender = std::make_unique<Sender>();
+    sender->got_ = got.data();
+    auto shim = std::make_unique<ReliableChannel>(std::move(sender),
+                                                  ReliableParams{});
+    shims.push_back(shim.get());
+    sim.add_process(std::move(shim));
+  }
+  Counted::copies = 0;
+  ASSERT_TRUE(sim.run().quiescent);
+  ShimStats stats;
+  for (const ReliableChannel* s : shims) stats += s->stats();
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_GT(stats.buffered_out_of_order, 0u);
+  for (std::size_t p = 1; p < 3; ++p) {
+    ASSERT_EQ(got[p].size(), static_cast<std::size_t>(kSends)) << p;
+    for (int i = 0; i < kSends; ++i) {
+      EXPECT_EQ(got[p][static_cast<std::size_t>(i)], i + 1) << p;
+    }
+  }
+  // kSends / 2 broadcasts take one copy each; the sends take none.
+  EXPECT_LE(Counted::copies, kSends / 2);
 }
 
 TEST(ReliableChannel, WithoutShimLossyNetworkViolatesDelivery) {
@@ -220,7 +285,7 @@ TEST(ReliableChannel, PeerRestartTriggersEpochReset) {
     }
     void on_message(sim::Context&, const sim::Message& msg) override {
       log_->deliveries.emplace_back(msg.from,
-                                    std::any_cast<int>(msg.payload));
+                                    std::any_cast<int>(*msg.payload));
     }
     void on_timer(sim::Context& ctx, int) override {
       for (int i = 6; i <= 10; ++i) ctx.send(1, kTagData, int{i});

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "net/faulty_link.hpp"
 
 namespace chc::sim {
 namespace {
@@ -34,7 +36,7 @@ class Recorder final : public Process {
   }
 
   void on_message(Context& ctx, const Message& msg) override {
-    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(msg.payload));
+    log_->deliveries.emplace_back(msg.from, std::any_cast<int>(*msg.payload));
     log_->times.push_back(ctx.now());
   }
 
@@ -282,7 +284,7 @@ TEST(Simulation, EventBudgetStopsRun) {
       if (ctx.self() == 0) ctx.send(1, kTagPing, int{0});
     }
     void on_message(Context& ctx, const Message& msg) override {
-      ctx.send(msg.from, kTagPing, std::any_cast<int>(msg.payload) + 1);
+      ctx.send(msg.from, kTagPing, std::any_cast<int>(*msg.payload) + 1);
     }
   };
   Simulation sim(2, 17, std::make_unique<FixedDelay>(1.0), {});
@@ -291,6 +293,137 @@ TEST(Simulation, EventBudgetStopsRun) {
   const auto rr = sim.run(1000);
   EXPECT_FALSE(rr.quiescent);
   EXPECT_GE(rr.stats.events_processed, 1000u);
+}
+
+TEST(Simulation, SameTimeEventsPopInPushOrder) {
+  // FixedDelay puts deliveries on distinct channels and timers at one
+  // instant; ties must resolve in push order. The second instant is pushed
+  // after six pops, so the slab hands those freed slots back out of order.
+  struct Log {
+    std::vector<std::pair<Time, std::string>> events;
+  };
+  class Tied final : public Process {
+   public:
+    explicit Tied(Log* log) : log_(log) {}
+    void on_start(Context& ctx) override {
+      if (ctx.self() == 2) {
+        ctx.set_timer(1.0, 3);
+        ctx.set_timer(1.0, 4);
+        return;
+      }
+      ctx.send(2, kTagData, static_cast<int>(10 + ctx.self()));
+      ctx.set_timer(1.0, 1 + static_cast<int>(ctx.self()));
+    }
+    void on_message(Context& ctx, const Message& msg) override {
+      record(ctx, "recv" + std::to_string(std::any_cast<int>(*msg.payload)));
+    }
+    void on_timer(Context& ctx, int token) override {
+      record(ctx, "timer" + std::to_string(token));
+      if (token != 4) return;
+      ctx.set_timer(1.0, 5);
+      ctx.send(0, kTagData, 20);
+      ctx.set_timer(1.0, 6);
+      ctx.send(1, kTagData, 21);
+    }
+
+   private:
+    void record(Context& ctx, std::string what) {
+      log_->events.emplace_back(
+          ctx.now(), "p" + std::to_string(ctx.self()) + ":" + what);
+    }
+    Log* log_;
+  };
+
+  Log log;
+  Simulation sim(3, 4, std::make_unique<FixedDelay>(1.0), {});
+  for (int p = 0; p < 3; ++p) sim.add_process(std::make_unique<Tied>(&log));
+  ASSERT_TRUE(sim.run().quiescent);
+  const std::vector<std::pair<Time, std::string>> expected = {
+      {1.0, "p2:recv10"}, {1.0, "p0:timer1"},  {1.0, "p2:recv11"},
+      {1.0, "p1:timer2"}, {1.0, "p2:timer3"},  {1.0, "p2:timer4"},
+      {2.0, "p2:timer5"}, {2.0, "p0:recv20"},  {2.0, "p2:timer6"},
+      {2.0, "p1:recv21"},
+  };
+  EXPECT_EQ(log.events, expected);
+}
+
+TEST(Simulation, ResumedRunMatchesUninterruptedRun) {
+  // Stopping on the event budget leaves events pending; resuming must
+  // finish exactly where one uninterrupted run does.
+  auto build = [](Simulation& sim, std::vector<Recorder::Log>& logs) {
+    for (std::size_t p = 0; p < logs.size(); ++p) {
+      sim.add_process(std::make_unique<Recorder>(&logs[p], true, 3));
+    }
+  };
+  std::vector<Recorder::Log> whole_logs(4);
+  Simulation whole(4, 23, std::make_unique<UniformDelay>(0.1, 1.0), {});
+  build(whole, whole_logs);
+  const RunResult whole_rr = whole.run();
+  ASSERT_TRUE(whole_rr.quiescent);
+
+  std::vector<Recorder::Log> split_logs(4);
+  Simulation split(4, 23, std::make_unique<UniformDelay>(0.1, 1.0), {});
+  build(split, split_logs);
+  ASSERT_FALSE(split.run(9).quiescent);
+  const RunResult split_rr = split.run();
+  ASSERT_TRUE(split_rr.quiescent);
+
+  EXPECT_EQ(split_rr.stats, whole_rr.stats);
+  EXPECT_GT(whole_rr.stats.events_processed, 9u);
+  for (std::size_t p = 0; p < whole_logs.size(); ++p) {
+    EXPECT_EQ(split_logs[p].deliveries, whole_logs[p].deliveries) << p;
+    EXPECT_EQ(split_logs[p].times, whole_logs[p].times) << p;
+  }
+}
+
+/// A payload that counts its copies (moves are free): the zero-copy
+/// contract is that a payload is copied at most once, where it enters the
+/// simulator, and shared after that.
+struct Counted {
+  static inline int copies = 0;
+  int value = 0;
+  explicit Counted(int v) : value(v) {}
+  Counted(const Counted& o) : value(o.value) { ++copies; }
+  Counted(Counted&& o) noexcept : value(o.value) {}
+};
+
+TEST(Simulation, BroadcastSharesOnePayloadAcrossRecipientsAndDuplicates) {
+  struct Seen {
+    std::vector<const std::any*> objects;
+    std::vector<int> values;
+  };
+  class Caster final : public Process {
+   public:
+    explicit Caster(Seen* seen) : seen_(seen) {}
+    void on_start(Context& ctx) override {
+      if (ctx.self() == 0) ctx.broadcast_others(kTagData, Counted{7});
+    }
+    void on_message(Context&, const Message& msg) override {
+      seen_->objects.push_back(msg.payload.get());
+      seen_->values.push_back(
+          std::any_cast<const Counted&>(*msg.payload).value);
+    }
+
+   private:
+    Seen* seen_;
+  };
+
+  Seen seen;
+  Simulation sim(5, 3, std::make_unique<UniformDelay>(0.1, 1.0), {});
+  sim.set_fault_model(std::make_unique<net::FaultyLinkModel>(
+      net::NetworkPolicy::lossy(0.0, 0.5)));
+  for (int p = 0; p < 5; ++p) sim.add_process(std::make_unique<Caster>(&seen));
+  Counted::copies = 0;
+  const RunResult rr = sim.run();
+  ASSERT_TRUE(rr.quiescent);
+  ASSERT_GT(rr.stats.net_duplicated, 0u) << "pick a seed that duplicates";
+  ASSERT_EQ(seen.objects.size(), 4 + rr.stats.net_duplicated);
+  // The one copy is broadcast_others(const std::any&) taking its own.
+  EXPECT_LE(Counted::copies, 1);
+  for (std::size_t i = 0; i < seen.objects.size(); ++i) {
+    EXPECT_EQ(seen.objects[i], seen.objects[0]) << "delivery " << i;
+    EXPECT_EQ(seen.values[i], 7);
+  }
 }
 
 TEST(Simulation, RequiresAllProcessesRegistered) {

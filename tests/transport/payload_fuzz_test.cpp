@@ -209,7 +209,7 @@ TEST(PayloadFuzz, SlotMsgNestsThroughRelFrames) {
   d.tag = rbc::kTagSlotEcho;
   d.src_epoch = 1;
   d.dst_epoch = 2;
-  d.payload = rbc::SlotMsg{3, 5, {0x01, 0x02, 0x03}};
+  d.payload = sim::make_payload(rbc::SlotMsg{3, 5, {0x01, 0x02, 0x03}});
   const auto frame = to_rel_frame(d);
   ASSERT_TRUE(frame.has_value());
   const codec::Buffer bytes = codec::encode(*frame);
@@ -219,7 +219,7 @@ TEST(PayloadFuzz, SlotMsgNestsThroughRelFrames) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->seq, 9u);
   EXPECT_EQ(back->tag, rbc::kTagSlotEcho);
-  const auto& m = std::any_cast<const rbc::SlotMsg&>(back->payload);
+  const auto& m = std::any_cast<const rbc::SlotMsg&>(*back->payload);
   EXPECT_EQ(m.origin, 3u);
   EXPECT_EQ(m.slot, 5u);
   EXPECT_EQ(m.bytes, (rbc::Bytes{0x01, 0x02, 0x03}));

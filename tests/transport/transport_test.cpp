@@ -235,9 +235,9 @@ TEST(Payload, RelFrameConversionRoundTrips) {
   d.seq = 11;
   d.cum_ack = 7;
   d.tag = core::kTagRound;
-  d.payload = core::RoundMsg{
+  d.payload = sim::make_payload(core::RoundMsg{
       2, geo::intern(geo::Polytope::from_points(
-             {geo::Vec{0.0, 0.0}, geo::Vec{2.0, 0.0}, geo::Vec{0.0, 2.0}}))};
+             {geo::Vec{0.0, 0.0}, geo::Vec{2.0, 0.0}, geo::Vec{0.0, 2.0}}))});
   d.src_epoch = 3;
   d.dst_epoch = 1;
   const auto frame = to_rel_frame(d);
@@ -253,7 +253,7 @@ TEST(Payload, RelFrameConversionRoundTrips) {
   EXPECT_EQ(back->tag, d.tag);
   EXPECT_EQ(back->src_epoch, d.src_epoch);
   EXPECT_EQ(back->dst_epoch, d.dst_epoch);
-  const auto& rm = std::any_cast<const core::RoundMsg&>(back->payload);
+  const auto& rm = std::any_cast<const core::RoundMsg&>(*back->payload);
   EXPECT_EQ(rm.round, 2u);
 
   const net::RelAck a{19, 4, 2};

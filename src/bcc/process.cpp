@@ -5,7 +5,7 @@
 
 #include "codec/codec.hpp"
 #include "common/check.hpp"
-#include "geometry/ops.hpp"
+#include "geometry/intern.hpp"
 
 namespace chc::bcc {
 
@@ -172,15 +172,15 @@ bool ByzCCProcess::try_verify(sim::ProcessId j, std::uint32_t r,
       if (vit == inputs_.end()) return false;  // await delivery (totality)
       values.push_back(vit->second);
     }
-    geo::Polytope gamma = geo::intersection_of_subset_hulls(
+    geo::PolytopeHandle gamma = geo::intersection_of_subset_hulls_interned(
         values, cfg_.round0_drop(), cfg_.rel_tol);
-    if (gamma.is_empty()) {
+    if (gamma->is_empty()) {
       // An honest process halts on an empty Γ and reports nothing; a claim
       // over a Γ-empty multiset is only ever Byzantine.
       invalid_.insert({j, r});
       return true;
     }
-    mark_state(j, r, geo::intern(std::move(gamma)));
+    mark_state(j, r, std::move(gamma));
     return true;
   }
   std::vector<geo::PolytopeHandle> prev;
@@ -223,9 +223,9 @@ bool ByzCCProcess::step_self(sim::Context& ctx) {
       values.push_back(v);
       view.emplace_back(id, v);
     }
-    geo::Polytope gamma = geo::intersection_of_subset_hulls(
+    geo::PolytopeHandle gamma = geo::intersection_of_subset_hulls_interned(
         values, cfg_.round0_drop(), cfg_.rel_tol);
-    if (gamma.is_empty()) {
+    if (gamma->is_empty()) {
       // Below the (d+2)f + 1 nonemptiness bound (arXiv 1302.2543): halt.
       round0_failed_ = true;
       if (trace_ != nullptr) {
@@ -233,7 +233,7 @@ bool ByzCCProcess::step_self(sim::Context& ctx) {
       }
       return true;
     }
-    h_ = geo::intern(std::move(gamma));
+    h_ = std::move(gamma);
     if (trace_ != nullptr) trace_->record_round0(self, view, *h_, ctx.now());
     mark_state(self, 0, h_);
     broadcast_report(ctx, 1, x);

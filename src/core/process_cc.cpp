@@ -1,7 +1,7 @@
 #include "core/process_cc.hpp"
 
 #include "common/check.hpp"
-#include "geometry/ops.hpp"
+#include "geometry/intern.hpp"
 #include "geometry/simplify.hpp"
 
 namespace chc::core {
@@ -49,11 +49,13 @@ void CCProcess::on_round0(sim::Context& ctx,
   for (const auto& [origin, x] : view) points.push_back(x);
 
   // h_i[0] := intersection of hulls of all (|X_i|-f)-subsets (line 5);
-  // under the correct-inputs model nothing is dropped (plain hull).
-  geo::Polytope h0 = geo::intersection_of_subset_hulls(
+  // under the correct-inputs model nothing is dropped (plain hull). Γ
+  // depends on the view alone, so processes sharing a view share one
+  // computation (the per-thread Γ memo).
+  geo::PolytopeHandle h0 = geo::intersection_of_subset_hulls_interned(
       points, cfg_.round0_drop(), cfg_.rel_tol);
 
-  if (h0.is_empty()) {
+  if (h0->is_empty()) {
     // Only possible when n < (d+2)f + 1 (Lemma 2 guarantees non-emptiness
     // at or above the bound). The process cannot continue meaningfully.
     round0_failed_ = true;
@@ -63,7 +65,7 @@ void CCProcess::on_round0(sim::Context& ctx,
     return;
   }
 
-  h_ = geo::intern(std::move(h0));
+  h_ = std::move(h0);
   ++completed_rounds_;
   if (trace_ != nullptr) trace_->record_round0(ctx.self(), view, *h_, ctx.now());
   enter_round(ctx, 1);

@@ -10,19 +10,22 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/check.hpp"
 #include "geometry/ops.hpp"
 
 namespace chc::geo {
 namespace {
 
 /// Process-wide totals; plain atomics so the intern table and every
-/// thread's combination memo account into one struct.
+/// thread's combination and Γ memos account into one struct.
 struct AtomicStats {
   std::atomic<std::uint64_t> intern_hits{0};
   std::atomic<std::uint64_t> intern_misses{0};
   std::atomic<std::uint64_t> intern_evictions{0};
   std::atomic<std::uint64_t> combo_hits{0};
   std::atomic<std::uint64_t> combo_misses{0};
+  std::atomic<std::uint64_t> subset_hull_hits{0};
+  std::atomic<std::uint64_t> subset_hull_misses{0};
 
   void reset() {
     intern_hits = 0;
@@ -30,6 +33,8 @@ struct AtomicStats {
     intern_evictions = 0;
     combo_hits = 0;
     combo_misses = 0;
+    subset_hull_hits = 0;
+    subset_hull_misses = 0;
   }
 };
 
@@ -38,28 +43,26 @@ AtomicStats& stats() {
   return s;
 }
 
-/// FNV-1a over the polytope's exact content (dimension + vertex bits).
-std::uint64_t content_hash(const Polytope& p) {
+/// FNV-1a accumulator for the content and memo-key hashes.
+struct Fnv {
   std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
+  void mix(std::uint64_t v) {
     h ^= v;
     h *= 1099511628211ull;
-  };
-  mix(p.ambient_dim());
-  mix(p.vertices().size());
-  for (const Vec& v : p.vertices()) {
-    for (double c : v) mix(std::bit_cast<std::uint64_t>(c));
   }
-  return h;
-}
+  void mix(double v) { mix(std::bit_cast<std::uint64_t>(v)); }
+  void mix(const Vec& v) {
+    mix(std::uint64_t{v.dim()});
+    for (double c : v) mix(c);
+  }
+};
 
-bool same_value(const Polytope& a, const Polytope& b) {
-  if (a.ambient_dim() != b.ambient_dim()) return false;
-  if (a.vertices().size() != b.vertices().size()) return false;
-  for (std::size_t i = 0; i < a.vertices().size(); ++i) {
-    if (!(a.vertices()[i] == b.vertices()[i])) return false;
-  }
-  return true;
+/// FNV-1a over the polytope's exact content (dimension + vertex bits).
+std::uint64_t content_hash(const Polytope& p) {
+  Fnv f;
+  f.mix(std::uint64_t{p.ambient_dim()});
+  for (const Vec& v : p.vertices()) f.mix(v);
+  return f.h;
 }
 
 /// The shared intern table: weak entries (the table never keeps a polytope
@@ -126,38 +129,55 @@ struct ComboKey {
 };
 
 std::uint64_t combo_hash(const ComboKey& k) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(std::bit_cast<std::uint64_t>(k.rel_tol));
+  Fnv f;
+  f.mix(k.rel_tol);
   for (const auto& p : k.ops) {
-    mix(reinterpret_cast<std::uintptr_t>(p.get()));
+    f.mix(std::uint64_t{reinterpret_cast<std::uintptr_t>(p.get())});
   }
-  return h;
+  return f.h;
 }
 
-/// One thread's combination memo: a ring of kComboMemoCapacity entries,
-/// overwritten oldest-first (FIFO eviction). Only its own thread touches
-/// it, so it takes no lock.
-struct ComboMemo {
+/// Γ's memo key: drop, rel_tol and the view's points (dimension, then
+/// coordinates, in order) as raw bits — so a one-ulp change, or -0.0
+/// against 0.0, is a different key.
+using SubsetHullKey = std::vector<std::uint64_t>;
+
+SubsetHullKey subset_hull_key(const std::vector<Vec>& points, std::size_t drop,
+                              double rel_tol) {
+  SubsetHullKey k = {drop, std::bit_cast<std::uint64_t>(rel_tol)};
+  for (const Vec& p : points) {
+    k.push_back(p.dim());
+    for (double c : p) k.push_back(std::bit_cast<std::uint64_t>(c));
+  }
+  return k;
+}
+
+std::uint64_t subset_hull_hash(const SubsetHullKey& k) {
+  Fnv f;
+  for (std::uint64_t w : k) f.mix(w);
+  return f.h;
+}
+
+/// One thread's memo: a ring of Capacity entries, overwritten oldest-first
+/// (FIFO eviction). Only its own thread touches it, so it takes no lock.
+template <class Key, std::size_t Capacity>
+struct FifoMemo {
   struct Entry {
     std::uint64_t hash = 0;
-    ComboKey key;
+    Key key;
     PolytopeHandle value;  ///< null while the slot is unused
   };
-  std::array<Entry, kComboMemoCapacity> slots;
+  std::array<Entry, Capacity> slots;
   std::size_t next = 0;  ///< the oldest slot: the next insert overwrites it
 
-  PolytopeHandle find(const ComboKey& key, std::uint64_t h) const {
+  PolytopeHandle find(const Key& key, std::uint64_t h) const {
     for (const Entry& e : slots) {
       if (e.value != nullptr && e.hash == h && e.key == key) return e.value;
     }
     return nullptr;
   }
 
-  void insert(ComboKey key, std::uint64_t h, PolytopeHandle value) {
+  void insert(Key key, std::uint64_t h, PolytopeHandle value) {
     slots[next] = Entry{h, std::move(key), std::move(value)};
     next = (next + 1) % slots.size();
   }
@@ -168,8 +188,16 @@ struct ComboMemo {
   }
 };
 
+using ComboMemo = FifoMemo<ComboKey, kComboMemoCapacity>;
+using SubsetHullMemo = FifoMemo<SubsetHullKey, kSubsetHullMemoCapacity>;
+
 ComboMemo& thread_memo() {
   thread_local ComboMemo memo;
+  return memo;
+}
+
+SubsetHullMemo& thread_subset_hull_memo() {
+  thread_local SubsetHullMemo memo;
   return memo;
 }
 
@@ -185,7 +213,7 @@ PolytopeHandle intern(Polytope p) {
   const Polytope* found_key = nullptr;
   for (std::size_t i = 0; i < bucket.size();) {
     if (PolytopeHandle sp = bucket[i].wp.lock()) {
-      if (found == nullptr && same_value(*sp, p)) {
+      if (found == nullptr && same_vertices(*sp, p)) {
         found = std::move(sp);
         found_key = bucket[i].key;
       }
@@ -221,6 +249,12 @@ PolytopeHandle intern(Polytope p) {
 
 PolytopeHandle equal_weight_combination_interned(
     const std::vector<PolytopeHandle>& polys, double rel_tol) {
+  CHC_CHECK(!polys.empty(), "L of zero polytopes");
+  if (std::all_of(polys.begin(), polys.end(), [&](const PolytopeHandle& p) {
+        return p.get() == polys[0].get();
+      })) {
+    return polys[0];  // L(K, ..., K) = K
+  }
   ComboKey key;
   key.ops = polys;
   key.rel_tol = rel_tol;
@@ -245,6 +279,23 @@ PolytopeHandle equal_weight_combination_interned(
   return result;
 }
 
+PolytopeHandle intersection_of_subset_hulls_interned(
+    const std::vector<Vec>& points, std::size_t drop, double rel_tol) {
+  SubsetHullKey key = subset_hull_key(points, drop, rel_tol);
+  const std::uint64_t h = subset_hull_hash(key);
+
+  SubsetHullMemo& memo = thread_subset_hull_memo();
+  if (PolytopeHandle cached = memo.find(key, h)) {
+    stats().subset_hull_hits.fetch_add(1, std::memory_order_relaxed);
+    return cached;
+  }
+  stats().subset_hull_misses.fetch_add(1, std::memory_order_relaxed);
+  PolytopeHandle result =
+      intern(intersection_of_subset_hulls(points, drop, rel_tol));
+  memo.insert(std::move(key), h, result);
+  return result;
+}
+
 InternStats intern_stats() {
   const AtomicStats& s = stats();
   InternStats out;
@@ -253,6 +304,9 @@ InternStats intern_stats() {
   out.intern_evictions = s.intern_evictions.load(std::memory_order_relaxed);
   out.combo_hits = s.combo_hits.load(std::memory_order_relaxed);
   out.combo_misses = s.combo_misses.load(std::memory_order_relaxed);
+  out.subset_hull_hits = s.subset_hull_hits.load(std::memory_order_relaxed);
+  out.subset_hull_misses =
+      s.subset_hull_misses.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -271,6 +325,7 @@ void clear_intern_caches() {
     t.entries = 0;
   }
   thread_memo().clear();
+  thread_subset_hull_memo().clear();
   stats().reset();
 }
 

@@ -21,10 +21,12 @@
 //
 // Memoized combinations live in one unlocked table per thread (the
 // common::thread_arena() idiom): each svc shard and NodeRuntime thread has
-// its own, FIFO-bounded at kComboMemoCapacity entries. The memo is
-// semantically transparent — a hit returns exactly the polytope a fresh
-// computation would intern — so which thread's memo served a call never
-// changes results.
+// its own, FIFO-bounded at kComboMemoCapacity entries. The round-0 state
+// Γ(X_i) (Algorithm CC line 5) has a second such memo, keyed on the exact
+// view: processes that end round 0 with one view compute Γ once. Both
+// memos are semantically transparent — a hit returns exactly the polytope
+// a fresh computation would intern — so which thread's memo served a call
+// never changes results.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +52,11 @@ inline constexpr std::size_t kInternTableCapacity = 4096;
 /// the round pipeline's working set from cache.
 inline constexpr std::size_t kComboMemoCapacity = 64;
 
+/// Entries in each thread's Γ memo. One instance has at most n distinct
+/// round-0 views, and a shard runs its instances one after another, so a
+/// few dozen entries cover every view a thread is still working on.
+inline constexpr std::size_t kSubsetHullMemoCapacity = 32;
+
 /// Returns the canonical shared handle for `p`'s exact value (ambient
 /// dimension + bitwise-equal vertex list). Two interned polytopes are
 /// value-equal iff their handles are pointer-equal. Thread-safe.
@@ -59,9 +66,19 @@ PolytopeHandle intern(Polytope p);
 /// memoized on the operand multiset: repeated calls on one thread with the
 /// same handles (in any order) return the same interned result without
 /// recomputing the Minkowski combination. A miss returns
-/// intern(equal_weight_combination(...)). Thread-safe.
+/// intern(equal_weight_combination(...)). When every handle is the same
+/// object, L(K, ..., K) = K and that handle is returned directly, with no
+/// memo lookup. Thread-safe.
 PolytopeHandle equal_weight_combination_interned(
     const std::vector<PolytopeHandle>& polys, double rel_tol = 1e-9);
+
+/// intersection_of_subset_hulls (geometry/ops.hpp) memoized on the exact
+/// point list (coordinate bits, in order), `drop` and `rel_tol`: a repeat
+/// call on one thread returns the same handle without recomputing. A miss
+/// returns intern(intersection_of_subset_hulls(...)). An empty Γ comes back
+/// as a handle to the empty polytope. Thread-safe.
+PolytopeHandle intersection_of_subset_hulls_interned(
+    const std::vector<Vec>& points, std::size_t drop, double rel_tol = 1e-9);
 
 /// Counters for tests and benchmarks (process-wide totals, every thread).
 struct InternStats {
@@ -70,6 +87,8 @@ struct InternStats {
   std::uint64_t intern_evictions = 0;  ///< LRU victims dropped from the table
   std::uint64_t combo_hits = 0;     ///< memoized L reused a cached result
   std::uint64_t combo_misses = 0;   ///< memoized L computed from scratch
+  std::uint64_t subset_hull_hits = 0;    ///< memoized Γ reused a result
+  std::uint64_t subset_hull_misses = 0;  ///< memoized Γ computed from scratch
   /// Always 0. They counted operand edge fans reused / rebuilt by a d = 2
   /// incremental combination path that no longer exists; perfbench still
   /// reports them.
@@ -82,8 +101,8 @@ InternStats intern_stats();
 /// entries are counted until pruned; never above kInternTableCapacity).
 std::size_t intern_table_size();
 
-/// Drops the intern table and the calling thread's combination memo (test
-/// isolation; live handles stay valid — other threads' memos are left
+/// Drops the intern table and the calling thread's combination and Γ memos
+/// (test isolation; live handles stay valid — other threads' memos are left
 /// alone) and resets the statistics counters.
 void clear_intern_caches();
 

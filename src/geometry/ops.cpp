@@ -464,9 +464,38 @@ Polytope linear_combination(const std::vector<Polytope>& polys,
                             const std::vector<double>& weights,
                             double rel_tol) {
   const std::size_t d = validate_combination(polys, weights);
-  if (d == 1) return linear_combination_1d(polys, weights, rel_tol);
-  if (d == 2) return linear_combination_kway2d(polys, weights, rel_tol);
-  return linear_combination_tree(polys, weights, rel_tol);
+
+  // λK ⊕ μK = (λ+μ)K for convex K: operands with identical vertex lists
+  // (same_vertices, the intern table's value identity) merge into one
+  // group whose weight is their sum, in first-occurrence order; zero
+  // weights are dropped. One group left means L returns that operand.
+  std::vector<std::size_t> rep;  // first operand of each group
+  std::vector<double> group_w;
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    if (weights[i] == 0.0) continue;
+    std::size_t g = 0;
+    while (g < rep.size() && !same_vertices(polys[rep[g]], polys[i])) ++g;
+    if (g == rep.size()) {
+      rep.push_back(i);
+      group_w.push_back(weights[i]);
+    } else {
+      group_w[g] += weights[i];
+    }
+  }
+  CHC_INTERNAL(!rep.empty(), "weights sum to 1, so one is positive");
+  if (rep.size() == 1) return polys[rep[0]];
+
+  const auto kernel = [&](const std::vector<Polytope>& ps,
+                          const std::vector<double>& ws) {
+    if (d == 1) return linear_combination_1d(ps, ws, rel_tol);
+    if (d == 2) return linear_combination_kway2d(ps, ws, rel_tol);
+    return linear_combination_tree(ps, ws, rel_tol);
+  };
+  if (rep.size() == polys.size()) return kernel(polys, weights);
+  std::vector<Polytope> grouped;
+  grouped.reserve(rep.size());
+  for (std::size_t i : rep) grouped.push_back(polys[i]);
+  return kernel(grouped, group_w);
 }
 
 Polytope equal_weight_combination(const std::vector<Polytope>& polys,
@@ -512,7 +541,10 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
       }
     }
     if (!alive) return Polytope::empty(2);
-    return Polytope::from_points(reduction.poly(), rel_tol);
+    // The clipped polygon is a CCW convex walk: from_walk2d gives it
+    // from_points' vertex bits with a deferred H-rep and no second
+    // (local) vertex array, the same slim form as L's d = 2 output.
+    return Polytope::from_walk2d(reduction.poly(), rel_tol);
   }
 
   // Materialize the lexicographic subset order once: at d >= 3 the

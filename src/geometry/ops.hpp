@@ -52,7 +52,10 @@ Polytope intersect2d_clip(const std::vector<Polytope>& polys,
 /// The paper's L (Definition 2): linear combination of non-empty convex
 /// polytopes with non-negative weights summing to 1. Equivalently the
 /// Minkowski sum ⊕_i (c_i · h_i). The result is convex, non-empty, and —
-/// when every operand is valid — valid (Lemma 5).
+/// when every operand is valid — valid (Lemma 5). Operands with identical
+/// vertex lists (same_vertices) are combined once with their summed
+/// weight, since λK ⊕ μK = (λ+μ)K; when only one distinct operand has
+/// non-zero weight, it is returned unchanged.
 Polytope linear_combination(const std::vector<Polytope>& polys,
                             const std::vector<double>& weights,
                             double rel_tol = 1e-9);
@@ -67,7 +70,10 @@ Polytope equal_weight_combination(const std::vector<Polytope>& polys,
 /// ∩_{C ⊆ points, |C| = |points| - drop} H(C), the multiset-subset hull
 /// intersection of Algorithm CC line 5 (with drop = f) and of I_Z (eq. 21).
 /// May legitimately be empty when |points| < (d+1)·drop + 1 (Tverberg bound,
-/// Lemma 2) — callers below the resilience bound see that case.
+/// Lemma 2) — callers below the resilience bound see that case. This is the
+/// raw kernel, with no memo: the processes call the memoized
+/// intersection_of_subset_hulls_interned (geometry/intern.hpp), while the
+/// checker's I_Z calls this one, so the oracle does not share the memo.
 Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
                                       std::size_t drop,
                                       double rel_tol = 1e-9);
@@ -80,6 +86,7 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
 
 /// L by the original sequential left-fold: pairwise minkowski_sum2d for
 /// d = 2, pairwise candidate products with per-step hull pruning otherwise.
+/// Identical operands are not grouped: every operand is summed in turn.
 Polytope linear_combination_pairwise(const std::vector<Polytope>& polys,
                                      const std::vector<double>& weights,
                                      double rel_tol = 1e-9);

@@ -498,9 +498,15 @@ std::ostream& operator<<(std::ostream& os, const Polytope& p) {
   return os << "}";
 }
 
+bool same_vertices(const Polytope& a, const Polytope& b) {
+  if (a.ambient_dim() != b.ambient_dim()) return false;
+  return a.vertices() == b.vertices();
+}
+
 double hausdorff(const Polytope& a, const Polytope& b) {
   CHC_CHECK(!a.is_empty() && !b.is_empty(),
             "Hausdorff distance requires non-empty polytopes");
+  if (same_vertices(a, b)) return 0.0;
   double h = 0.0;
   for (const Vec& v : a.vertices()) h = std::max(h, b.distance(v));
   for (const Vec& v : b.vertices()) h = std::max(h, a.distance(v));

@@ -157,9 +157,16 @@ class Polytope {
 
 std::ostream& operator<<(std::ostream& os, const Polytope& p);
 
+/// Exact value identity: same ambient dimension and an equal vertex list,
+/// coordinate for coordinate. Canonical construction makes this the same
+/// point set, so it is the intern table's notion of "one value" and L's
+/// notion of identical operands.
+bool same_vertices(const Polytope& a, const Polytope& b);
+
 /// Hausdorff distance d_H (paper eq. 1) between two non-empty polytopes.
 /// Exact up to the nearest-point tolerance: the farthest point of a convex
-/// set from another convex set is attained at a vertex.
+/// set from another convex set is attained at a vertex. Identical vertex
+/// lists answer 0 without a nearest-point search (d_H(K, K) = 0).
 double hausdorff(const Polytope& a, const Polytope& b);
 
 /// True when each is contained in the other within `tol`.

@@ -5,14 +5,23 @@
 // bound, the LRU order and handle stability across eviction. The
 // combination memo is one FIFO table of kComboMemoCapacity entries per
 // thread; these tests pin that each thread misses on its own memo, that
-// the memo is value-transparent across threads, and its bound.
+// the memo is value-transparent across threads, and its bound. The Γ
+// memo (intersection_of_subset_hulls_interned) is the same idiom keyed on
+// the exact point list; these tests pin that it is the raw kernel bit for
+// bit, that exact repeats hit and one-ulp changes miss, and that
+// clear_intern_caches() empties it.
 #include "geometry/intern.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "geometry/ops.hpp"
 #include "geometry/polytope.hpp"
 #include "geometry/vec.hpp"
 
@@ -118,6 +127,81 @@ TEST_F(InternTest, ComboCacheEvictionRecomputesIdenticalValue) {
   EXPECT_EQ(intern_stats().combo_misses, kComboMemoCapacity + 2);
   EXPECT_EQ(again.get(), results[0].get())
       << "recomputation re-interned a new value";
+}
+
+/// m points uniform in [-1, 1]^d.
+std::vector<Vec> cloud(Rng& rng, std::size_t m, std::size_t d) {
+  std::vector<Vec> pts;
+  for (std::size_t i = 0; i < m; ++i) {
+    Vec p(d);
+    for (std::size_t c = 0; c < d; ++c) p[c] = rng.uniform(-1.0, 1.0);
+    pts.push_back(std::move(p));
+  }
+  return pts;
+}
+
+TEST_F(InternTest, SubsetHullMemoIsTheRawKernelBitForBit) {
+  for (std::size_t d : {1u, 2u, 3u}) {
+    SCOPED_TRACE(d);
+    Rng rng(18000 + d);
+    const std::vector<Vec> pts = cloud(rng, (d + 2) + 3, d);
+    const PolytopeHandle g = intersection_of_subset_hulls_interned(pts, 1);
+    const Polytope raw = intersection_of_subset_hulls(pts, 1);
+    ASSERT_EQ(g->vertices().size(), raw.vertices().size());
+    for (std::size_t i = 0; i < raw.vertices().size(); ++i) {
+      for (std::size_t c = 0; c < d; ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g->vertices()[i][c]),
+                  std::bit_cast<std::uint64_t>(raw.vertices()[i][c]))
+            << "vertex " << i << " coord " << c;
+      }
+    }
+    // The result is interned: the raw value maps onto the same handle.
+    EXPECT_EQ(intern(raw).get(), g.get());
+  }
+}
+
+TEST_F(InternTest, SubsetHullMemoHitsOnRepeatsAndMissesOnOneUlp) {
+  Rng rng(18100);
+  std::vector<Vec> pts = cloud(rng, 7, 2);
+  const PolytopeHandle first = intersection_of_subset_hulls_interned(pts, 1);
+  EXPECT_EQ(intern_stats().subset_hull_misses, 1u);
+  EXPECT_EQ(intern_stats().subset_hull_hits, 0u);
+
+  EXPECT_EQ(intersection_of_subset_hulls_interned(pts, 1).get(), first.get());
+  EXPECT_EQ(intern_stats().subset_hull_hits, 1u);
+
+  // Key parts: drop and rel_tol are part of the key too.
+  intersection_of_subset_hulls_interned(pts, 2);
+  intersection_of_subset_hulls_interned(pts, 1, 1e-8);
+  EXPECT_EQ(intern_stats().subset_hull_misses, 3u);
+
+  // One ulp in one coordinate of one point is a different view.
+  pts[3][1] = std::nextafter(pts[3][1], 2.0);
+  intersection_of_subset_hulls_interned(pts, 1);
+  EXPECT_EQ(intern_stats().subset_hull_misses, 4u);
+  EXPECT_EQ(intern_stats().subset_hull_hits, 1u);
+}
+
+TEST_F(InternTest, ClearEmptiesTheSubsetHullMemo) {
+  Rng rng(18200);
+  const std::vector<Vec> pts = cloud(rng, 6, 2);
+  const PolytopeHandle kept = intersection_of_subset_hulls_interned(pts, 1);
+  clear_intern_caches();
+  EXPECT_EQ(intern_stats().subset_hull_misses, 0u);
+  intersection_of_subset_hulls_interned(pts, 1);
+  EXPECT_EQ(intern_stats().subset_hull_misses, 1u);
+  EXPECT_EQ(intern_stats().subset_hull_hits, 0u);
+}
+
+TEST_F(InternTest, SubsetHullMemoReturnsEmptyGammaAsAHandle) {
+  // Four points in general position, drop 1, d = 2: below (d+2)f + 1 the
+  // subset hulls of a convex quadrilateral's triangles share no point.
+  const std::vector<Vec> square = {Vec{0.0, 0.0}, Vec{1.0, 0.0},
+                                   Vec{1.0, 1.0}, Vec{0.0, 1.0}};
+  const Polytope raw = intersection_of_subset_hulls(square, 1);
+  const PolytopeHandle g = intersection_of_subset_hulls_interned(square, 1);
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->is_empty(), raw.is_empty());
 }
 
 }  // namespace

@@ -157,6 +157,39 @@ TEST(CliArgs, CheckReportsMalformedTraceWithExitTwo) {
   std::remove(path.c_str());
 }
 
+TEST(CliArgs, CheckAgainstComparesSameNamedTraces) {
+  // --against DIR: the same-named trace in DIR must match every line
+  // apart from verts (exit 0, SAME-SCHEDULE); any other change exits 1
+  // (SCHEDULE-DIFF), and a missing counterpart is unreadable input (2).
+  const std::string dir = testing::TempDir() + "chc_check_against";
+  ASSERT_EQ(run_cmd("mkdir -p " + dir + "/before " + dir + "/after").exit_code,
+            0);
+  const std::string before = dir + "/before/t.jsonl";
+  const std::string after = dir + "/after/t.jsonl";
+  const CmdResult rec = run_cmd(std::string(CHC_TOOL_RECORD_BIN) +
+                                " --preset default --seed 7 --out " + before);
+  ASSERT_EQ(rec.exit_code, 0) << rec.output;
+  ASSERT_EQ(run_cmd("cp " + before + " " + after).exit_code, 0);
+
+  const std::string check = std::string(CHC_TOOL_CHECK_BIN) + " --against " +
+                            dir + "/before ";
+  CmdResult r = run_cmd(check + after);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("SAME-SCHEDULE"), std::string::npos) << r.output;
+
+  // Drop the footer: one line fewer is a different schedule.
+  ASSERT_EQ(run_cmd("sed -i '$d' " + after).exit_code, 0);
+  r = run_cmd(check + after);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("SCHEDULE-DIFF"), std::string::npos) << r.output;
+
+  r = run_cmd(std::string(CHC_TOOL_CHECK_BIN) + " --against " + dir +
+              "/nowhere " + before);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("ERROR"), std::string::npos) << r.output;
+  run_cmd("rm -rf " + dir);
+}
+
 TEST(CliArgs, HelpExitsZero) {
   for (const ToolCase& t : kTools) {
     const CmdResult r = run_cmd(std::string(t.bin) + " --help");

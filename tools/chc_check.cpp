@@ -7,8 +7,13 @@
 // event's line, round and diagnostic. With --replay the run is also
 // re-executed from the trace header and compared byte-for-byte — crash-CC
 // traces through core/replay.hpp, Byzantine (protocol=bcc) traces through
-// bcc/replay.hpp. Exit code: 0 = all traces accepted, 1 = at least one
-// rejected or diverged, 2 = usage / unreadable input.
+// bcc/replay.hpp. With --against DIR each trace is also compared with the
+// same-named trace in DIR, recorded from another build of the same
+// execution: the line count and every line apart from `verts` must match
+// (same schedule), and the largest polytope d_H between corresponding
+// round0 / round / decide snapshots is printed (obs/schedule_diff.hpp).
+// Exit code: 0 = all traces accepted, 1 = at least one rejected, diverged
+// or rescheduled, 2 = usage / unreadable input.
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -20,17 +25,21 @@
 #include "cli.hpp"
 #include "core/replay.hpp"
 #include "obs/checker.hpp"
+#include "obs/schedule_diff.hpp"
 
 namespace {
 
 void usage() {
   std::cerr
       << "usage: chc_check [--tol T] [--max-violations N] [--replay] "
-         "TRACE.jsonl...\n"
+         "[--against DIR] TRACE.jsonl...\n"
          "  --tol T             geometric slack (default 1e-6)\n"
          "  --max-violations N  report up to N violations (default 16)\n"
          "  --replay            also re-execute from the header and require\n"
-         "                      a byte-identical trace\n";
+         "                      a byte-identical trace\n"
+         "  --against DIR       also require the same-named trace in DIR to\n"
+         "                      match every line apart from verts, and print\n"
+         "                      the largest snapshot d_H between the two\n";
 }
 
 std::string next_value(int argc, char** argv, int& i) {
@@ -47,6 +56,7 @@ std::string next_value(int argc, char** argv, int& i) {
 int main(int argc, char** argv) {
   chc::obs::CheckOptions opts;
   bool replay = false;
+  std::string against;
   std::vector<std::string> files;
 
   for (int i = 1; i < argc; ++i) {
@@ -58,6 +68,8 @@ int main(int argc, char** argv) {
           chc::cli::count_arg(arg, next_value(argc, argv, i), usage);
     } else if (arg == "--replay") {
       replay = true;
+    } else if (arg == "--against") {
+      against = next_value(argc, argv, i);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -93,6 +105,29 @@ int main(int argc, char** argv) {
                 << "; " << report.violations.size() << " violation(s):)\n";
       for (const auto& v : report.violations) {
         std::cout << "  " << chc::obs::describe(v) << "\n";
+      }
+    }
+
+    if (!against.empty()) {
+      const std::string base = file.substr(file.find_last_of('/') + 1);
+      const std::string other = against + "/" + base;
+      std::vector<std::string> before, after;
+      if (!chc::obs::read_jsonl(other, before) ||
+          !chc::obs::read_jsonl(file, after)) {
+        std::cout << "ERROR   " << file << ": cannot open " << other << "\n";
+        return 2;
+      }
+      const chc::obs::ScheduleDiff sd =
+          chc::obs::compare_schedules(before, after);
+      if (sd.same) {
+        std::cout << "SAME-SCHEDULE " << file << " (" << sd.lines
+                  << " lines, " << sd.moved << " snapshots moved, max d_H "
+                  << sd.max_hausdorff << ", decide d_H "
+                  << sd.max_decide_hausdorff << ")\n";
+      } else {
+        any_bad = true;
+        std::cout << "SCHEDULE-DIFF " << file << " at line "
+                  << sd.first_diff_line << ": " << sd.detail << "\n";
       }
     }
 

@@ -16,6 +16,11 @@
 #   tools/identity_traces.sh after-build after
 #   diff -r before after
 #   after-build/tools/chc_check --replay after/*.jsonl
+#
+# A change that may move geometry in its last bits but must keep every
+# schedule compares with the checker instead of diff (same line count,
+# every line equal apart from snapshot verts; prints the largest d_H):
+#   after-build/tools/chc_check --against before after/*.jsonl
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then

@@ -30,6 +30,11 @@ bool byz_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
   if (h.protocol != "bcc") {
     return fail(error, "not a bcc trace (protocol=" + h.protocol + ")");
   }
+  // ByzCCProcess runs only the paper's round 0 under incorrect inputs.
+  if (h.round0_naive) return fail(error, "round0_naive is not a bcc option");
+  if (h.correct_inputs_model) {
+    return fail(error, "correct_inputs_model is not a bcc option");
+  }
   ByzRunConfig out;
   core::Workload workload;
   if (!core::config_from_header(h, &out.lossy, &workload, error)) return false;

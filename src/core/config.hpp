@@ -28,7 +28,9 @@ enum class FaultModel {
   kCrashCorrectInputs,
 };
 
-/// Parameters of an approximate convex hull consensus instance.
+/// Parameters of an approximate convex hull consensus instance. Every
+/// iterate is the exact L of Definition 2: Theorem 3's I_Z floor is proved
+/// only for exact states, so no knob approximates them.
 struct CCConfig {
   std::size_t n = 0;  ///< number of processes
   std::size_t f = 0;  ///< max faulty processes (crash + incorrect input)
@@ -45,14 +47,6 @@ struct CCConfig {
 
   /// Round-0 communication (ablation knob; default is the paper's choice).
   Round0Policy round0 = Round0Policy::kStableVector;
-
-  /// Optional vertex budget for the iterate states (0 = exact, the paper's
-  /// algorithm). When set, each h_i[t] is replaced by an inner
-  /// approximation with at most this many vertices — validity is preserved
-  /// (the approximation is a subset), while agreement picks up the bounded
-  /// simplification error and the I_Z floor may be trimmed. Experiment E9
-  /// quantifies the trade-off; mainly useful for d >= 3.
-  std::size_t max_polytope_vertices = 0;
 
   /// Fault model (default: the paper's crash-with-incorrect-inputs).
   FaultModel fault_model = FaultModel::kCrashIncorrectInputs;

@@ -2,7 +2,6 @@
 
 #include "common/check.hpp"
 #include "geometry/intern.hpp"
-#include "geometry/simplify.hpp"
 
 namespace chc::core {
 
@@ -108,13 +107,7 @@ void CCProcess::maybe_complete_round(sim::Context& ctx) {
       y.push_back(poly);
       senders.insert(from);
     }
-    geo::PolytopeHandle next =
-        geo::equal_weight_combination_interned(y, cfg_.rel_tol);
-    if (cfg_.max_polytope_vertices > 0) {
-      next = geo::intern(
-          geo::simplify(*next, cfg_.max_polytope_vertices, cfg_.rel_tol));
-    }
-    h_ = std::move(next);
+    h_ = geo::equal_weight_combination_interned(y, cfg_.rel_tol);
     ++completed_rounds_;
     if (trace_ != nullptr) {
       trace_->record_round(ctx.self(), current_round_, std::move(senders),

@@ -12,12 +12,30 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Validates one header link class (the CHC_CHECK in ChannelPolicy's
-/// constructor throws; a malformed trace file should fail gracefully).
-bool valid_link(double drop, double dup, double reorder, double rmin,
-                double rmax) {
-  return drop >= 0.0 && drop <= 1.0 && dup >= 0.0 && dup <= 1.0 &&
-         reorder >= 0.0 && reorder <= 1.0 && rmin > 0.0 && rmin <= rmax;
+/// Names the first out-of-range field of one header link class, or returns
+/// nullptr when it is valid (the CHC_CHECKs in ChannelPolicy's constructor
+/// and net::FaultyLinkModel throw; a malformed trace file should fail
+/// gracefully).
+const char* bad_link_field(double drop, double dup, double reorder,
+                           double rmin, double rmax) {
+  const auto rate = [](double r) { return r >= 0.0 && r <= 1.0; };
+  if (!rate(drop)) return "drop";
+  if (!rate(dup)) return "dup";
+  if (!rate(reorder)) return "reorder";
+  if (!(rmin > 0.0)) return "reorder_delay_min";
+  if (!(rmin <= rmax)) return "reorder_delay_max";
+  return nullptr;
+}
+
+/// Names the first shim parameter net::ReliableChannel's constructor would
+/// refuse, or returns nullptr.
+const char* bad_shim_field(const obs::TraceHeader& h) {
+  if (!(h.rto > 0.0)) return "rto";
+  if (!(h.tick > 0.0)) return "tick";
+  if (!(h.backoff >= 1.0)) return "backoff";
+  if (!(h.rto_max >= h.rto)) return "rto_max";
+  if (!(h.jitter >= 0.0 && h.jitter < 1.0)) return "jitter";
+  return nullptr;
 }
 
 bool apply_overrides(const std::vector<obs::HeaderChannelOverride>& overrides,
@@ -27,8 +45,9 @@ bool apply_overrides(const std::vector<obs::HeaderChannelOverride>& overrides,
     if (o.from >= n || o.to >= n) {
       return fail(error, "override channel id out of range");
     }
-    if (!valid_link(o.drop, o.dup, o.reorder, o.rmin, o.rmax)) {
-      return fail(error, "override link rates out of range");
+    if (const char* bad =
+            bad_link_field(o.drop, o.dup, o.reorder, o.rmin, o.rmax)) {
+      return fail(error, std::string("override ") + bad + " out of range");
     }
     policy->set_channel(o.from, o.to,
                         net::ChannelPolicy(o.drop, o.dup, o.reorder, o.rmin,
@@ -67,6 +86,21 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   for (const auto& row : h.inputs) {
     if (row.size() != h.d) return fail(error, "input row dimension mismatch");
   }
+  // The uniform link class, as net::FaultyLinkModel checks it: only a
+  // scheduled policy may drop everything (a partition phase).
+  if (const char* bad = bad_link_field(h.drop, h.dup, h.reorder,
+                                       h.reorder_delay_min,
+                                       h.reorder_delay_max)) {
+    return fail(error, std::string(bad) + " out of range");
+  }
+  if (h.phases.empty() && h.drop >= 1.0) {
+    return fail(error, "drop = 1 is not fair-lossy without policy phases");
+  }
+  if (h.reliable) {
+    if (const char* bad = bad_shim_field(h)) {
+      return fail(error, std::string(bad) + " out of range for the shim");
+    }
+  }
 
   LossyRunConfig out;
   CCConfig& cc = out.base.cc;
@@ -78,7 +112,6 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   cc.rel_tol = h.rel_tol;
   cc.round0 = h.round0_naive ? Round0Policy::kNaiveCollect
                              : Round0Policy::kStableVector;
-  cc.max_polytope_vertices = h.max_polytope_vertices;
   cc.fault_model = h.correct_inputs_model ? FaultModel::kCrashCorrectInputs
                                           : FaultModel::kCrashIncorrectInputs;
   out.base.pattern = static_cast<InputPattern>(h.pattern);
@@ -94,8 +127,9 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
     if (k == 0 ? hp.at != 0.0 : hp.at <= h.phases[k - 1].at) {
       return fail(error, "policy phase times must start at 0 and ascend");
     }
-    if (!valid_link(hp.drop, hp.dup, hp.reorder, hp.rmin, hp.rmax)) {
-      return fail(error, "phase link rates out of range");
+    if (const char* bad =
+            bad_link_field(hp.drop, hp.dup, hp.reorder, hp.rmin, hp.rmax)) {
+      return fail(error, std::string("phase ") + bad + " out of range");
     }
     net::NetworkPolicy phase;
     phase.link =
@@ -222,6 +256,13 @@ bool rerun_cc(const obs::TraceHeader& header, obs::Tracer& tracer,
     return fail(error, "protocol " + header.protocol +
                            " traces are not replayable by the crash-CC "
                            "harness");
+  }
+  // The stable vector's quorum bound (CCProcess checks it). BCC replays
+  // below its own bound by design, so this is not in config_from_header.
+  if (header.n < 2 * header.f + 1) {
+    return fail(error, "f = " + std::to_string(header.f) +
+                           " needs n >= 2f + 1, n = " +
+                           std::to_string(header.n));
   }
   LossyRunConfig lc;
   Workload workload;

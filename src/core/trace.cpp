@@ -26,7 +26,6 @@ obs::TraceHeader config_header(const CCConfig& cfg) {
   h.input_magnitude = cfg.input_magnitude;
   h.rel_tol = cfg.rel_tol;
   h.round0_naive = cfg.round0 == Round0Policy::kNaiveCollect;
-  h.max_polytope_vertices = cfg.max_polytope_vertices;
   h.correct_inputs_model = cfg.fault_model == FaultModel::kCrashCorrectInputs;
   h.t_end = cfg.t_end();
   return h;

@@ -26,7 +26,7 @@
 namespace chc::core {
 
 /// The trace-header fields a CCConfig determines (n, f, d, eps, magnitude,
-/// tolerance, round-0 policy, vertex budget, fault model, t_end).
+/// tolerance, round-0 policy, fault model, t_end).
 obs::TraceHeader config_header(const CCConfig& cfg);
 
 /// Per-process, per-round record of one execution.

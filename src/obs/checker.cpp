@@ -84,6 +84,8 @@ class Checker {
     } else if (!(std::isfinite(h.input_magnitude) &&
                  h.input_magnitude > 0.0)) {
       bad = "input_magnitude must be finite and positive";
+    } else if (!(std::isfinite(h.rel_tol) && h.rel_tol >= 0.0)) {
+      bad = "rel_tol must be finite and non-negative";
     }
     if (!bad.empty()) {
       report_.parse_error = "header: " + bad;
@@ -533,12 +535,9 @@ class Checker {
   /// cover first incarnations only: the bounds are stated for processes
   /// that never crashed, and a recovered (hence faulty) incarnation
   /// rebuilds its round-0 state at a later point of the execution, outside
-  /// the transition-matrix chain the lemma bounds. Neither is asserted
-  /// under vertex pruning (its error is unbounded); agreement is still
-  /// measured.
+  /// the transition-matrix chain the lemma bounds.
   void check_contraction_and_agreement() {
-    const bool asserted = h().max_polytope_vertices == 0;
-    if (asserted) check_contraction();
+    check_contraction();
     DecisionVerdict& v = report_.decisions;
     v.agreement = true;
     for (Pid i = 0; i < rec_->procs.size(); ++i) {
@@ -551,7 +550,6 @@ class Checker {
         v.max_pairwise_hausdorff = std::max(v.max_pairwise_hausdorff, dh);
         if (dh < h().eps + opts_.tol) continue;
         v.agreement = false;
-        if (!asserted) continue;
         violate(std::max(pi.decide_line, pj.decide_line), 0, i,
                 pi.decide_round, "eps-agreement",
                 "decision Hausdorff distance " + std::to_string(dh) +
@@ -623,7 +621,7 @@ class Checker {
     // optimality false.
     if (iz.is_empty()) return;
     report_.iz_measure = iz.measure();
-    report_.iz_checked = !h().round0_naive && h().max_polytope_vertices == 0;
+    report_.iz_checked = !h().round0_naive;
     report_.decisions.optimality = true;
     // Resolution-limited states get the collapse slack: exact arithmetic
     // still gives containment (Lemma 6's induction is unaffected by

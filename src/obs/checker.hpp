@@ -43,12 +43,11 @@
 //     inclusion (paper §3);
 //   * ε-agreement + Lemma 3 contraction — pairwise d_H(h_i[t], h_j[t]) ≤
 //     (1 − 1/n)^t · sqrt(d · n² · max(U², μ²)) per round (eq. 12→19), and
-//     pairwise decision distance < ε (not asserted when vertex pruning is
-//     on: simplification error is outside the bound);
+//     pairwise decision distance < ε;
 //   * Optimality floor — I_Z ⊆ h_i[t] for every fault-free process and
 //     round (Lemma 6), with I_Z recomputed from the recorded views
-//     (eq. 20-21; not asserted for the naive round-0 ablation and under
-//     pruning, where the guarantee does not hold).
+//     (eq. 20-21; not asserted for the naive round-0 ablation, where the
+//     guarantee does not hold).
 //
 // The judge defines each measured quantity once:
 //   * Z intersects every recorded round-0 view of every incarnation;

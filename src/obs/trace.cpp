@@ -345,7 +345,6 @@ std::string to_jsonl(const TraceHeader& h) {
   dbl("input_magnitude", h.input_magnitude);
   dbl("rel_tol", h.rel_tol);
   bol("round0_naive", h.round0_naive);
-  u64("max_polytope_vertices", h.max_polytope_vertices);
   bol("correct_inputs_model", h.correct_inputs_model);
   u64("t_end", h.t_end);
   u64("pattern", static_cast<std::uint64_t>(h.pattern));
@@ -496,7 +495,6 @@ bool parse_header(std::string_view line, TraceHeader& out,
   r.read("input_magnitude", out.input_magnitude);
   r.read("rel_tol", out.rel_tol);
   r.read("round0_naive", out.round0_naive);
-  r.read("max_polytope_vertices", out.max_polytope_vertices);
   r.read("correct_inputs_model", out.correct_inputs_model);
   r.read("t_end", out.t_end);
   r.read("pattern", out.pattern);

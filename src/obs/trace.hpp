@@ -155,7 +155,6 @@ struct TraceHeader {
   double input_magnitude = 1.0;  ///< effective max(U, mu) bound
   double rel_tol = 1e-9;
   bool round0_naive = false;        ///< Round0Policy::kNaiveCollect
-  std::uint64_t max_polytope_vertices = 0;
   bool correct_inputs_model = false;  ///< FaultModel::kCrashCorrectInputs
   std::uint64_t t_end = 0;
 

@@ -99,11 +99,6 @@ struct NodeRuntime::Instance {
   const core::CCProcess& cc() const {
     return static_cast<const core::CCProcess&>(shim->inner());
   }
-  std::size_t max_decode_vertices() const {
-    return cfg.max_polytope_vertices != 0
-               ? std::max<std::size_t>(cfg.max_polytope_vertices, 4096)
-               : 4096;
-  }
 };
 
 class NodeRuntime::Ctx final : public sim::Context {
@@ -302,7 +297,7 @@ void NodeRuntime::dispatch(Instance& inst, NodeId from,
   if (frame.kind == FrameKind::kData) {
     const auto rel = codec::decode_rel_frame(frame.payload);
     if (!rel) return;  // malformed; the sender will retransmit or give up
-    auto data = from_rel_frame(*rel, inst.max_decode_vertices());
+    auto data = from_rel_frame(*rel);
     if (!data) return;
     msg.tag = net::kTagRelData;
     msg.payload = sim::make_payload(std::move(*data));

@@ -110,8 +110,7 @@ std::optional<codec::Buffer> encode_payload(int tag,
   }
 }
 
-std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf,
-                                       std::size_t max_vertices) {
+std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf) {
   switch (tag) {
     case dsm::kTagWrite: {
       codec::Buffer rest;
@@ -146,7 +145,7 @@ std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf,
       codec::Buffer rest;
       const auto round = split_u64_prefix(buf, rest);
       if (!round) return std::nullopt;
-      auto poly = codec::decode_polytope(rest, max_vertices);
+      auto poly = codec::decode_polytope(rest);
       if (!poly) return std::nullopt;
       return std::any(core::RoundMsg{static_cast<std::size_t>(*round),
                                      geo::intern(std::move(*poly))});
@@ -194,9 +193,8 @@ std::optional<codec::RelFrame> to_rel_frame(const net::RelData& d) {
   return f;
 }
 
-std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f,
-                                           std::size_t max_vertices) {
-  auto payload = decode_payload(f.inner_tag, f.inner, max_vertices);
+std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f) {
+  auto payload = decode_payload(f.inner_tag, f.inner);
   if (!payload) return std::nullopt;
   net::RelData d;
   d.seq = f.seq;

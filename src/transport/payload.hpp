@@ -38,18 +38,16 @@ bool wire_supported(int tag);
 /// tag is unsupported or the std::any holds the wrong type.
 std::optional<codec::Buffer> encode_payload(int tag, const std::any& payload);
 
-/// Decodes a protocol payload. `max_vertices` bounds the tag-200 polytope
-/// (forward it from CCConfig::max_polytope_vertices when nonzero).
-std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf,
-                                       std::size_t max_vertices = 4096);
+/// Decodes a protocol payload. The tag-200 polytope is bounded by
+/// codec::decode_polytope's default vertex cap.
+std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf);
 
 /// RelData -> wire frame. nullopt when the inner payload is unsupported.
 std::optional<codec::RelFrame> to_rel_frame(const net::RelData& d);
 
 /// Wire frame -> RelData (inner payload decoded through decode_payload and
 /// wrapped into the frame's one sim::Payload).
-std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f,
-                                           std::size_t max_vertices = 4096);
+std::optional<net::RelData> from_rel_frame(const codec::RelFrame& f);
 
 codec::RelAckFrame to_rel_ack(const net::RelAck& a);
 net::RelAck from_rel_ack(const codec::RelAckFrame& f);

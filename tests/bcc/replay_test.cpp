@@ -90,6 +90,45 @@ TEST(BccReplay, ByzReplayerRefusesCrashTraces) {
   EXPECT_FALSE(byz_config_from_header(h, &bc, &w, &err));
 }
 
+TEST(BccReplay, RejectsHeaderValuesARunWouldRefuse) {
+  // Each edit names a configuration run_bcc_custom refuses with a
+  // ContractViolation; replay must reject it at the header instead, with
+  // an error that starts with the offending field.
+  struct Edit {
+    std::string field;
+    void (*apply)(obs::TraceHeader&);
+  };
+  const std::vector<Edit> edits = {
+      {"round0_naive", [](obs::TraceHeader& h) { h.round0_naive = true; }},
+      {"correct_inputs_model",
+       [](obs::TraceHeader& h) { h.correct_inputs_model = true; }},
+      {"drop", [](obs::TraceHeader& h) { h.drop = 1.0; }},
+      {"reorder_delay_min",
+       [](obs::TraceHeader& h) {
+         h.reorder = 0.1;
+         h.reorder_delay_min = -1.0;
+       }},
+      {"rto",
+       [](obs::TraceHeader& h) {
+         h.reliable = true;
+         h.rto = -1.0;
+       }},
+  };
+  const std::vector<std::string> lines = traced_byz_run(small_run(5));
+  obs::TraceHeader h;
+  ASSERT_TRUE(obs::parse_header(lines[0], h, nullptr));
+  for (const Edit& e : edits) {
+    obs::TraceHeader edited = h;
+    e.apply(edited);
+    std::vector<std::string> tampered = lines;
+    tampered[0] = obs::to_jsonl(edited);
+    const core::ReplayResult rr = replay_trace_lines(tampered);
+    EXPECT_FALSE(rr.ran) << e.field;
+    EXPECT_EQ(rr.error.rfind(e.field + " ", 0), 0u)
+        << e.field << ": " << rr.error;
+  }
+}
+
 TEST(BccReplay, TamperedTraceDiverges) {
   // Flip one recorded event: replay must flag exactly that line instead of
   // claiming bit-identity — the property that makes traces tamper-evident.

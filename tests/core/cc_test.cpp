@@ -219,24 +219,6 @@ TEST(AlgorithmCC, CorrectInputsValidityCoversAllInputs) {
   }
 }
 
-TEST(AlgorithmCC, VertexBudgetPreservesValidityAndAgreement) {
-  // E9 knob: pruned iterates are subsets of the exact ones, so validity
-  // must survive any budget; agreement still certifies at sane budgets.
-  RunConfig rc = base_config();
-  rc.cc = CCConfig{.n = 8, .f = 1, .d = 3, .eps = 0.1};
-  rc.cc.max_polytope_vertices = 10;
-  rc.crash_style = CrashStyle::kNone;
-  const auto out = run_cc_once(rc);
-  EXPECT_TRUE(out.cert.all_decided);
-  EXPECT_TRUE(out.cert.validity);
-  EXPECT_TRUE(out.cert.agreement);
-  for (sim::ProcessId p : out.correct) {
-    const auto& dec = out.trace->of(p).decision;
-    ASSERT_TRUE(dec.has_value());
-    EXPECT_LE(dec->vertices().size(), 10u);
-  }
-}
-
 TEST(AlgorithmCC, Theorem1ReplayAcrossDimensions) {
   // The matrix representation must hold in every dimension, not just d=2.
   for (const std::size_t d : {std::size_t{1}, std::size_t{3}}) {

@@ -105,6 +105,50 @@ TEST(Replay, RejectsNonSimEnv) {
   EXPECT_FALSE(rr.error.empty());
 }
 
+TEST(Replay, RejectsHeaderValuesARunWouldRefuse) {
+  // Each edit names a configuration the run itself refuses with a
+  // ContractViolation; replay must reject it at the header instead, with
+  // an error that starts with the offending field.
+  struct Edit {
+    std::string field;
+    void (*apply)(obs::TraceHeader&);
+  };
+  const std::vector<Edit> edits = {
+      {"f", [](obs::TraceHeader& h) { h.f = 3; }},
+      {"drop", [](obs::TraceHeader& h) { h.drop = 1.0; }},
+      {"drop", [](obs::TraceHeader& h) { h.drop = 2.0; }},
+      {"reorder_delay_min",
+       [](obs::TraceHeader& h) {
+         h.reorder = 0.1;
+         h.reorder_delay_min = -1.0;
+       }},
+      {"rto",
+       [](obs::TraceHeader& h) {
+         h.reliable = true;
+         h.rto = -1.0;
+       }},
+      {"jitter",
+       [](obs::TraceHeader& h) {
+         h.reliable = true;
+         h.jitter = 1.5;
+       }},
+  };
+  const auto lines = record(base_config(37));
+  obs::TraceHeader h;
+  ASSERT_TRUE(obs::parse_header(lines[0], h, nullptr));
+  ASSERT_EQ(h.n, 5u);
+  for (const Edit& e : edits) {
+    obs::TraceHeader edited = h;
+    e.apply(edited);
+    std::vector<std::string> tampered = lines;
+    tampered[0] = obs::to_jsonl(edited);
+    const ReplayResult rr = replay_trace_lines(tampered);
+    EXPECT_FALSE(rr.ran) << e.field;
+    EXPECT_EQ(rr.error.rfind(e.field + " ", 0), 0u)
+        << e.field << ": " << rr.error;
+  }
+}
+
 TEST(Replay, ConfigRoundTripsThroughHeader) {
   LossyRunConfig lc = base_config(36);
   lc.base.crash_style = CrashStyle::kLate;

@@ -75,6 +75,25 @@ TEST(Checker, AcceptsCleanRun) {
   EXPECT_TRUE(report.iz_checked);
 }
 
+TEST(Checker, NoHeaderKeySwitchesOffContractionOrTheIzFloor) {
+  // Algorithm CC has one exact configuration: a header key the reader does
+  // not know (here a vertex budget) is ignored, so the checker still
+  // asserts Lemma 3 contraction and the I_Z floor on every pair.
+  const auto lines = record(base_config(21));
+  const obs::CheckReport plain = obs::check_trace_lines(lines);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_GT(plain.pairs_checked, 0u);
+  ASSERT_TRUE(plain.iz_checked);
+
+  std::vector<std::string> edited = lines;
+  ASSERT_EQ(edited[0].front(), '{');
+  edited[0].insert(1, "\"max_polytope_vertices\":8,");
+  const obs::CheckReport report = obs::check_trace_lines(edited);
+  EXPECT_TRUE(report.ok()) << report.parse_error;
+  EXPECT_EQ(report.pairs_checked, plain.pairs_checked);
+  EXPECT_TRUE(report.iz_checked);
+}
+
 TEST(Checker, AcceptsCrashedLaggedRun) {
   // kMidBroadcast + kLaggedOneCorrect is the regime where correct round-0
   // views genuinely differ and h_i[t] ⊆ h_i[t-1] fails — the union-form
@@ -268,6 +287,15 @@ TEST(Checker, ReportsFaultBudgetNotBelowN) {
       check_edited(record(base_config(7)), 0, "\"f\":1", "\"f\":9");
   EXPECT_FALSE(report.parsed);
   EXPECT_TRUE(report.violations.empty());
+}
+
+TEST(Checker, ReportsNegativeRelTol) {
+  // A negative tolerance trips the geometry kernel's own contract checks.
+  const obs::CheckReport report = check_edited(
+      record(base_config(7)), 0, "\"rel_tol\":1e-09", "\"rel_tol\":-1");
+  EXPECT_FALSE(report.parsed);
+  EXPECT_NE(report.parse_error.find("rel_tol"), std::string::npos)
+      << report.parse_error;
 }
 
 TEST(Checker, ReportsNonFiniteEps) {

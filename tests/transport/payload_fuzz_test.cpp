@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <any>
+#include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -198,6 +200,40 @@ TEST(PayloadFuzz, SlotLengthFieldCannotDriveAllocation) {
   codec::Buffer b = w2.take();
   b.push_back(0xAA);  // only 1 byte of the claimed 16
   EXPECT_FALSE(decode_payload(rbc::kTagSlotInit, b).has_value());
+}
+
+TEST(PayloadFuzz, RoundPolytopeCapIsTheCodecDefault) {
+  // A node decodes round messages with codec::decode_polytope's default
+  // cap and no per-instance override, so 4096 vertices is the bound on
+  // what a peer can send. Points on a sphere are all vertices: the 4097
+  // case is refused by the cap, not shrunk by the hull.
+  const auto sphere = [](std::size_t m) {
+    std::vector<geo::Vec> pts;
+    const double golden = std::numbers::pi * (3.0 - std::sqrt(5.0));
+    for (std::size_t i = 0; i < m; ++i) {
+      const double z = 1.0 - 2.0 * (static_cast<double>(i) + 0.5) /
+                                 static_cast<double>(m);
+      const double r = std::sqrt(1.0 - z * z);
+      const double phi = golden * static_cast<double>(i);
+      pts.push_back(geo::Vec{r * std::cos(phi), r * std::sin(phi), z});
+    }
+    return geo::Polytope::from_points(pts);
+  };
+  for (const std::size_t m : {std::size_t{4096}, std::size_t{4097}}) {
+    const geo::Polytope p = sphere(m);
+    ASSERT_EQ(p.vertices().size(), m);
+    const auto bytes = encode_payload(
+        core::kTagRound, core::RoundMsg{1, geo::intern(p)});
+    ASSERT_TRUE(bytes.has_value());
+    const auto back = decode_payload(core::kTagRound, *bytes);
+    if (m == 4096) {
+      ASSERT_TRUE(back.has_value());
+      const auto& msg = std::any_cast<const core::RoundMsg&>(*back);
+      EXPECT_EQ(msg.h->vertices().size(), m);
+    } else {
+      EXPECT_FALSE(back.has_value());
+    }
+  }
 }
 
 TEST(PayloadFuzz, SlotMsgNestsThroughRelFrames) {

@@ -5,14 +5,13 @@
 // round performs an (n-f)-way weighted Minkowski sum and the analysis
 // computes Hausdorff distances. These benches track their scaling in the
 // point count and dimension.
-// The engine benches (parallel subset hulls, k-way L) each have a
-// `_Reference` twin running the preserved pre-engine serial kernel on the
-// same inputs, so one run of this binary yields before/after speedups
-// (bench/run_benches.sh extracts them into BENCH_geometry.json).
+// The engine benches (subset hulls, L) each have a `_Reference` twin
+// running the preserved pre-engine kernel on the same inputs, so one run of
+// this binary yields before/after speedups (bench/run_benches.sh extracts
+// them into BENCH_geometry.json).
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "geometry/distance.hpp"
 #include "geometry/hull2d.hpp"
 #include "geometry/intern.hpp"
@@ -96,7 +95,8 @@ void BM_LinearCombinationL_Reference(benchmark::State& state) {
 BENCHMARK(BM_LinearCombinationL_Reference)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_LinearCombinationL3d(benchmark::State& state) {
-  // Engine path: balanced merge tree on the pool.
+  // Engine path: the general-d left fold. The reference runs the same fold
+  // (ops.hpp), so the pair reads ~1.0x.
   const auto polys = round_polys(static_cast<std::size_t>(state.range(0)),
                                  3, 20);
   for (auto _ : state) {
@@ -114,22 +114,6 @@ void BM_LinearCombinationL3d_Reference(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LinearCombinationL3d_Reference)->Arg(4)->Arg(8);
-
-void BM_LinearCombinationLThreads(benchmark::State& state) {
-  // Thread scaling of the d = 3 merge tree: args are (k, threads).
-  const auto polys = round_polys(static_cast<std::size_t>(state.range(0)),
-                                 3, 20);
-  common::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(equal_weight_combination(polys));
-  }
-  common::ThreadPool::set_global_threads(0);
-}
-BENCHMARK(BM_LinearCombinationLThreads)
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 4});
 
 void BM_EqualWeightCombinationMemoized(benchmark::State& state) {
   // The steady-state round computation with interned operands: after the
@@ -181,7 +165,8 @@ void BM_SubsetHullIntersectionF1(benchmark::State& state) {
 BENCHMARK(BM_SubsetHullIntersectionF1)->Arg(10)->Arg(17);
 
 void BM_SubsetHullIntersection3d(benchmark::State& state) {
-  // d = 3, f = 1: pooled quickhulls + one big halfspace system.
+  // d = 3, f = 1: one quickhull per subset + one big halfspace system, the
+  // same kernel as the reference row, so the pair reads ~1.0x.
   const auto m = static_cast<std::size_t>(state.range(0));
   const auto pts = cloud(m, 3, 5);
   for (auto _ : state) {

@@ -8,7 +8,7 @@
 //
 // Lifetime rules (see DESIGN.md §14):
 //  * One arena per thread (`thread_arena()`); the service's shard workers and
-//    the geometry pool workers each get their own, so no locking is needed
+//    the cluster's node threads each get their own, so no locking is needed
 //    on the allocation path.
 //  * A kernel entry point opens an `ArenaScope`; everything allocated inside
 //    is released wholesale when the scope closes. Scopes nest (recursion,

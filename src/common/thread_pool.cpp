@@ -1,8 +1,8 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -130,41 +130,9 @@ void ThreadPool::parallel_for(std::size_t njobs,
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
-namespace {
-
-std::size_t env_thread_count() {
-  if (const char* env = std::getenv("CHC_GEO_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v >= 1) return static_cast<std::size_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
-
-std::unique_ptr<ThreadPool>& global_slot() {
-  static std::unique_ptr<ThreadPool> pool;
-  return pool;
-}
-
-std::mutex& global_mu() {
-  static std::mutex mu;
-  return mu;
-}
-
-}  // namespace
-
 ThreadPool& ThreadPool::global() {
-  std::lock_guard<std::mutex> lock(global_mu());
-  auto& slot = global_slot();
-  if (slot == nullptr) slot = std::make_unique<ThreadPool>(env_thread_count());
-  return *slot;
-}
-
-void ThreadPool::set_global_threads(std::size_t threads) {
-  std::lock_guard<std::mutex> lock(global_mu());
-  global_slot() = std::make_unique<ThreadPool>(
-      threads == 0 ? env_thread_count() : threads);
+  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
+  return pool;
 }
 
 }  // namespace chc::common

@@ -1,21 +1,16 @@
-// Fixed-size worker pool for the geometry kernel engine.
+// Fixed-size worker pool.
 //
-// Only the d >= 3 kernels use it: the general-dimension subset-hull path
-// and linear_combination_tree (geometry/ops.cpp). The d <= 2 kernels run
-// on the calling thread — their work per call is too small to pay for a
-// fan-out — so svc shards and node threads at d <= 2 never touch it.
+// No kernel uses it: every geometry kernel runs on its caller's thread,
+// and parallelism lives at service shards and cluster nodes. Its only
+// caller is perfbench's build stamp, which prints global().threads(); the
+// class goes once the benchmark drops that stamp field (ROADMAP item 4).
 //
 // The pool exposes exactly one primitive, parallel_for: run `job(i)` for
-// i in [0, njobs) and block until all complete. Work is index-addressed so
-// callers collect results into pre-sized, index-ordered buffers — the
-// deterministic "ordered reduction" pattern that keeps parallel kernel
-// results bit-identical to their serial execution (DESIGN.md §9).
+// i in [0, njobs) and block until all complete.
 //
 // Concurrency contract:
-//  * parallel_for is serialized internally: a second caller (e.g. another
-//    svc shard or NodeRuntime thread inside a geometry kernel) that finds
-//    the pool busy runs its loop inline on its own thread instead of
-//    waiting. Results cannot differ — only the scheduling does.
+//  * parallel_for is serialized internally: a second caller that finds the
+//    pool busy runs its loop inline on its own thread instead of waiting.
 //  * Nested parallel_for from inside a job therefore also degrades to an
 //    inline loop (no deadlock).
 //  * Jobs may throw; the first exception is rethrown on the calling thread
@@ -47,15 +42,8 @@ class ThreadPool {
   void parallel_for(std::size_t njobs,
                     const std::function<void(std::size_t)>& job);
 
-  /// Process-wide pool for the geometry kernels. Sized on first use from
-  /// CHC_GEO_THREADS (1 = fully serial); unset or 0 means
-  /// hardware_concurrency.
+  /// Process-wide pool, sized on first use to hardware_concurrency.
   static ThreadPool& global();
-
-  /// Re-sizes the global pool (benchmarks/tests sweeping thread counts);
-  /// 0 restores the CHC_GEO_THREADS / hardware_concurrency default.
-  /// Must not race with concurrent global() kernel use.
-  static void set_global_threads(std::size_t threads);
 
  private:
   struct Impl;

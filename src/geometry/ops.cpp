@@ -8,7 +8,6 @@
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/combinatorics.hpp"
-#include "common/thread_pool.hpp"
 #include "geometry/combine2d.hpp"
 #include "geometry/hull2d.hpp"
 #include "geometry/quickhull.hpp"
@@ -192,98 +191,6 @@ std::vector<Vec> ccw2(const std::vector<Vec>& poly) {
   return poly;
 }
 
-// --- Engine: balanced merge tree (general d) ------------------------------
-
-/// Candidate budget per pruning call in the merge tree. One huge
-/// from_points call is superlinear in its input and output (quickhull +
-/// facet canonicalization), so merges above this budget are split into
-/// chunks whose extreme points are found independently and re-pruned —
-/// exact (hull of union of chunk-hull vertices = hull of the whole set)
-/// and it turns the root merge into pool-wide parallel work.
-constexpr std::size_t kMergeChunkCands = 1024;
-
-/// L in general dimension by a balanced pairwise merge tree: each level
-/// merges adjacent operands (candidate vertex products, hull-pruned) on
-/// the shared pool. Large merges are chunked (kMergeChunkCands). Tree
-/// shape and chunk boundaries depend only on operand sizes, so the result
-/// is identical for every thread count.
-Polytope linear_combination_tree(const std::vector<Polytope>& polys,
-                                 const std::vector<double>& weights,
-                                 double rel_tol) {
-  std::vector<std::vector<Vec>> ops;
-  ops.reserve(polys.size());
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    std::vector<Vec> scaled;
-    scaled.reserve(polys[i].vertices().size());
-    for (const Vec& v : polys[i].vertices()) scaled.push_back(v * weights[i]);
-    ops.push_back(std::move(scaled));
-  }
-  CHC_INTERNAL(!ops.empty(), "weights sum to 1, so one is positive");
-
-  common::ThreadPool& pool = common::ThreadPool::global();
-  while (ops.size() > 1) {
-    const std::size_t pairs = ops.size() / 2;
-
-    // Split each pair's candidate product a x b into chunks of contiguous
-    // a-rows, at most kMergeChunkCands candidates each. The flat chunk
-    // list is the parallel job space, so a level with a single huge merge
-    // (the tree root) still fans out across the pool.
-    struct Chunk {
-      std::size_t pair, a_begin, a_end;
-    };
-    std::vector<Chunk> chunks;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const std::size_t na = ops[2 * p].size();
-      const std::size_t nb = ops[2 * p + 1].size();
-      const std::size_t rows =
-          std::max<std::size_t>(1, kMergeChunkCands / std::max<std::size_t>(nb, 1));
-      for (std::size_t r = 0; r < na; r += rows) {
-        chunks.push_back({p, r, std::min(na, r + rows)});
-      }
-    }
-
-    std::vector<std::vector<Vec>> pruned(chunks.size());
-    pool.parallel_for(chunks.size(), [&](std::size_t c) {
-      const Chunk& ch = chunks[c];
-      const std::vector<Vec>& a = ops[2 * ch.pair];
-      const std::vector<Vec>& b = ops[2 * ch.pair + 1];
-      std::vector<Vec> cands;
-      cands.reserve((ch.a_end - ch.a_begin) * b.size());
-      for (std::size_t i = ch.a_begin; i < ch.a_end; ++i) {
-        for (const Vec& v : b) cands.push_back(a[i] + v);
-      }
-      pruned[c] = Polytope::from_points(cands, rel_tol).vertices();
-    });
-
-    // Re-prune each pair over its chunks' surviving vertices (chunk order
-    // is fixed, so concatenation is deterministic). Single-chunk pairs are
-    // already exact and skip the second pass.
-    std::vector<std::vector<Vec>> next(pairs);
-    std::vector<std::size_t> multi;  // pairs needing the re-prune pass
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      auto& dst = next[chunks[c].pair];
-      if (dst.empty()) {
-        dst = std::move(pruned[c]);
-      } else {
-        dst.insert(dst.end(), std::make_move_iterator(pruned[c].begin()),
-                   std::make_move_iterator(pruned[c].end()));
-        if (multi.empty() || multi.back() != chunks[c].pair) {
-          multi.push_back(chunks[c].pair);
-        }
-      }
-    }
-    pool.parallel_for(multi.size(), [&](std::size_t m) {
-      next[multi[m]] =
-          Polytope::from_points(next[multi[m]], rel_tol).vertices();
-    });
-
-    if (ops.size() % 2 == 1) next.push_back(std::move(ops.back()));
-    ops = std::move(next);
-  }
-  return Polytope::from_points(ops[0], rel_tol);
-}
-
 /// Shared operand validation for L; returns the ambient dimension.
 std::size_t validate_combination(const std::vector<Polytope>& polys,
                                  const std::vector<double>& weights) {
@@ -314,7 +221,46 @@ Polytope linear_combination_1d(const std::vector<Polytope>& polys,
   return Polytope::from_points({Vec{lo}, Vec{hi}}, rel_tol);
 }
 
+/// L in general dimension by a left fold: every sum of an accumulator
+/// vertex and a scaled operand vertex, hull-pruned after each operand.
+/// Zero-weight operands are skipped.
+Polytope linear_combination_fold(const std::vector<Polytope>& polys,
+                                 const std::vector<double>& weights,
+                                 double rel_tol) {
+  std::vector<Vec> acc = {Vec(polys[0].ambient_dim(), 0.0)};
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    if (weights[i] == 0.0) continue;
+    std::vector<Vec> next;
+    next.reserve(acc.size() * polys[i].vertices().size());
+    for (const Vec& u : acc) {
+      for (const Vec& v : polys[i].vertices()) {
+        next.push_back(u + v * weights[i]);
+      }
+    }
+    acc = Polytope::from_points(next, rel_tol).vertices();
+  }
+  return Polytope::from_points(acc, rel_tol);
+}
+
 // --- Engine: subset hulls -----------------------------------------------
+
+/// Γ for d != 2: one halfspace system holding every (|X|-drop)-subset
+/// hull's facets, appended in for_each_drop rank order, then intersected.
+Polytope subset_hulls_by_halfspaces(const std::vector<Vec>& points,
+                                    std::size_t drop, double rel_tol) {
+  std::vector<Halfspace> hs;
+  for_each_drop(points.size(), drop,
+                [&](const std::vector<std::size_t>& kept) {
+                  std::vector<Vec> sub;
+                  sub.reserve(kept.size());
+                  for (std::size_t i : kept) sub.push_back(points[i]);
+                  const Polytope h = Polytope::from_points(sub, rel_tol);
+                  const auto& f = h.halfspaces();
+                  hs.insert(hs.end(), f.begin(), f.end());
+                  return true;
+                });
+  return intersect_halfspaces(points[0].dim(), hs, rel_tol);
+}
 
 /// One (|X|-drop)-subset's hull in 2-D: CCW vertex polygon plus the edge
 /// halfplanes the ordered reduction clips with.
@@ -489,7 +435,7 @@ Polytope linear_combination(const std::vector<Polytope>& polys,
                           const std::vector<double>& ws) {
     if (d == 1) return linear_combination_1d(ps, ws, rel_tol);
     if (d == 2) return linear_combination_kway2d(ps, ws, rel_tol);
-    return linear_combination_tree(ps, ws, rel_tol);
+    return linear_combination_fold(ps, ws, rel_tol);
   };
   if (rep.size() == polys.size()) return kernel(polys, weights);
   std::vector<Polytope> grouped;
@@ -515,8 +461,8 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
   if (drop == 0) return Polytope::from_points(points, rel_tol);
 
   if (d == 2) {
-    // A round-0 call builds a handful of small hulls: they are built on the
-    // calling thread, in lexicographic subset order.
+    // A round-0 call builds a handful of small hulls, in lexicographic
+    // subset order.
     std::vector<SubsetHull2d> hulls;
     for_each_drop(points.size(), drop,
                   [&](const std::vector<std::size_t>& kept) {
@@ -547,38 +493,10 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
     return Polytope::from_walk2d(reduction.poly(), rel_tol);
   }
 
-  // Materialize the lexicographic subset order once: at d >= 3 the
-  // quickhulls fan out to the pool indexed by subset rank, so the halfspace
-  // system is concatenated in exactly the order the serial enumeration
-  // would produce — bit-identical results for every CHC_GEO_THREADS value.
-  // d = 1 builds its intervals in a plain loop.
-  std::vector<std::vector<std::size_t>> subsets;
-  for_each_drop(points.size(), drop,
-                [&](const std::vector<std::size_t>& kept) {
-                  subsets.push_back(kept);
-                  return true;
-                });
-  std::vector<std::vector<Halfspace>> sub_hs(subsets.size());
-  const auto build = [&](std::size_t i) {
-    std::vector<Vec> sub;
-    sub.reserve(subsets[i].size());
-    for (std::size_t k : subsets[i]) sub.push_back(points[k]);
-    sub_hs[i] = Polytope::from_points(sub, rel_tol).halfspaces();
-  };
-  if (d == 1) {
-    for (std::size_t i = 0; i < subsets.size(); ++i) build(i);
-  } else {
-    common::ThreadPool::global().parallel_for(subsets.size(), build);
-  }
-  std::vector<Halfspace> hs;  // concatenated in subset-rank order
-  for (std::vector<Halfspace>& shs : sub_hs) {
-    hs.insert(hs.end(), std::make_move_iterator(shs.begin()),
-              std::make_move_iterator(shs.end()));
-  }
-  return intersect_halfspaces(d, hs, rel_tol);
+  return subset_hulls_by_halfspaces(points, drop, rel_tol);
 }
 
-// --- Reference kernels (pre-engine serial implementations) ----------------
+// --- Reference kernels (pre-engine implementations, the test oracles) ----
 
 Polytope linear_combination_pairwise(const std::vector<Polytope>& polys,
                                      const std::vector<double>& weights,
@@ -601,20 +519,7 @@ Polytope linear_combination_pairwise(const std::vector<Polytope>& polys,
     return Polytope::from_points(acc, rel_tol);
   }
 
-  // General dimension: pairwise candidate sums with hull pruning per step.
-  std::vector<Vec> acc = {Vec(d, 0.0)};
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    std::vector<Vec> next;
-    next.reserve(acc.size() * polys[i].vertices().size());
-    for (const Vec& u : acc) {
-      for (const Vec& v : polys[i].vertices()) {
-        next.push_back(u + v * weights[i]);
-      }
-    }
-    acc = Polytope::from_points(next, rel_tol).vertices();
-  }
-  return Polytope::from_points(acc, rel_tol);
+  return linear_combination_fold(polys, weights, rel_tol);
 }
 
 Polytope intersection_of_subset_hulls_reference(const std::vector<Vec>& points,
@@ -626,24 +531,18 @@ Polytope intersection_of_subset_hulls_reference(const std::vector<Vec>& points,
 
   if (drop == 0) return Polytope::from_points(points, rel_tol);
 
+  if (d != 2) return subset_hulls_by_halfspaces(points, drop, rel_tol);
+
   std::vector<Polytope> hulls;
-  std::vector<Halfspace> hs;
   for_each_drop(points.size(), drop,
                 [&](const std::vector<std::size_t>& kept) {
                   std::vector<Vec> sub;
                   sub.reserve(kept.size());
                   for (std::size_t i : kept) sub.push_back(points[i]);
-                  Polytope h = Polytope::from_points(sub, rel_tol);
-                  if (d == 2) {
-                    hulls.push_back(std::move(h));
-                  } else {
-                    const auto& f = h.halfspaces();
-                    hs.insert(hs.end(), f.begin(), f.end());
-                  }
+                  hulls.push_back(Polytope::from_points(sub, rel_tol));
                   return true;
                 });
-  if (d == 2) return intersect2d_clip(hulls, rel_tol);
-  return intersect_halfspaces(d, hs, rel_tol);
+  return intersect2d_clip(hulls, rel_tol);
 }
 
 }  // namespace chc::geo

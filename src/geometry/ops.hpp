@@ -9,17 +9,15 @@
 //  * linear_combination — the paper's function L (Definition 2): the
 //    weighted Minkowski sum of convex polytopes. The engine computes it by
 //    a single k-way rotating edge-vector merge for d = 2 (O(total edges))
-//    and a balanced pairwise merge tree with hull pruning in general
-//    dimension (subtree merges run on the common::ThreadPool).
+//    and by a left fold with hull pruning after every operand in general
+//    dimension.
 //  * intersection_of_subset_hulls — ∩_{C ⊆ X, |C| = |X|-f} H(C), shared by
-//    line 5 (on X_i) and the I_Z lower bound (on X_Z). Subset hulls are
-//    built on the calling thread for d <= 2 and in parallel on the pool for
-//    d >= 3, and reduced in subset-rank order, so the result is
-//    bit-identical for every thread count (DESIGN.md §9).
+//    line 5 (on X_i) and the I_Z lower bound (on X_Z). d = 2 clips the
+//    first subset's polygon by every later subset's edges; other
+//    dimensions intersect one halfspace system holding every subset hull's
+//    facets. Both reduce in subset-rank order.
 //
-// Threading knob: CHC_GEO_THREADS sizes the shared pool the d >= 3 kernels
-// use (1 = fully serial, unset = hardware_concurrency); see
-// common/thread_pool.hpp.
+// Every kernel runs on its caller's thread (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -79,21 +77,26 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
                                       double rel_tol = 1e-9);
 
 // --- Reference kernels -----------------------------------------------------
-// The pre-engine serial implementations, kept verbatim: the differential
-// property tests assert the engine kernels above are vertex-set-identical
-// (up to rel_tol) to these, and bench_geometry_micro uses them as the
-// pre-optimization baseline rows in BENCH_geometry.json.
+// The pre-engine implementations: the differential property tests assert
+// the engine kernels above are vertex-set-identical (up to rel_tol) to
+// these, and bench_geometry_micro uses them as the pre-optimization
+// baseline rows in BENCH_geometry.json. For d != 2 each runs the engine's
+// own kernel (the L reference without grouping identical operands), so
+// they are independent oracles only at d = 2.
 
-/// L by the original sequential left-fold: pairwise minkowski_sum2d for
-/// d = 2, pairwise candidate products with per-step hull pruning otherwise.
-/// Identical operands are not grouped: every operand is summed in turn.
+/// L by the original left fold: pairwise minkowski_sum2d for d = 2, the
+/// engine's general-d fold (pairwise candidate products with per-step hull
+/// pruning) otherwise. Identical operands are not grouped: every operand is
+/// summed in turn.
 Polytope linear_combination_pairwise(const std::vector<Polytope>& polys,
                                      const std::vector<double>& weights,
                                      double rel_tol = 1e-9);
 
-/// Subset-hull intersection by the original sequential enumeration: one
-/// Polytope per subset, then intersect2d_clip (d = 2) or one big
-/// halfspace system (d != 2).
+/// Subset-hull intersection by the original enumeration: one Polytope per
+/// subset, then intersect2d_clip (d = 2) or one big halfspace system
+/// (d != 2). It is an independent oracle only at d = 2, where it checks the
+/// engine's clip reduction against intersect2d_clip; for d != 2 it runs the
+/// engine's own halfspace-system kernel.
 Polytope intersection_of_subset_hulls_reference(const std::vector<Vec>& points,
                                                 std::size_t drop,
                                                 double rel_tol = 1e-9);

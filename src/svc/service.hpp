@@ -12,10 +12,10 @@
 // single-instance path (core::run_cc_lossy_custom) with its own seeded
 // Simulation, its own Tracer and its own trace stream, so its decision
 // polytopes and its JSONL trace are bit-identical to running that instance
-// alone — at any shard count, under any cross-instance interleaving. What
-// IS shared across instances is deliberately value-transparent state: the
-// process-global polytope intern table (bounded LRU) and the geometry
-// thread pool. Each shard worker, like every thread, has its own unlocked
+// alone — at any shard count, under any cross-instance interleaving. The
+// only geometry state shared across instances is deliberately
+// value-transparent: the process-global polytope intern table (bounded
+// LRU). Each shard worker, like every thread, has its own unlocked
 // combination memo (geometry/intern.hpp); memo hits return interned values
 // a fresh computation would produce, so results cannot differ. The
 // differential suite in tests/svc enforces all of this bit-for-bit.

@@ -18,8 +18,8 @@
 #
 # --release-baseline records a committable baseline: it REFUSES to run
 # unless the build dir is CMAKE_BUILD_TYPE=Release, and stamps the JSON
-# with the build configuration (build type, CXX flags, CHC_SIMD / CHC_LTO)
-# and the host (num_cpus, CPU feature flags) so any later --check can tell
+# with the build configuration (build type, CXX flags, CHC_LTO) and the
+# host (num_cpus, CPU feature flags) so any later --check can tell
 # whether a comparison is apples-to-apples.
 #
 # --check compares the fresh speedup_summary against the committed baseline
@@ -86,12 +86,12 @@ CXX_FLAGS_CFG=""
 if [[ "$BUILD_TYPE" != "unknown" ]]; then
   CXX_FLAGS_CFG="$(cache_var "CMAKE_CXX_FLAGS_${BUILD_TYPE^^}")"
 fi
-CHC_SIMD_VAL="$(cache_var CHC_SIMD)"
 CHC_LTO_VAL="$(cache_var CHC_LTO)"
 COMPILER="$(cache_var CMAKE_CXX_COMPILER)"
 NUM_CPUS="$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)"
-# The instruction-set flags that matter to the SIMD dispatch; harvested
-# from /proc/cpuinfo so the baseline records what the recording host had.
+# The host's vector instruction-set flags, part of the host description
+# (no kernel dispatches on them); harvested from /proc/cpuinfo so the
+# baseline records what the recording host had.
 CPU_FEATURES=""
 if [[ -r /proc/cpuinfo ]]; then
   CPU_FEATURES="$(grep -m1 '^flags' /proc/cpuinfo |
@@ -165,7 +165,6 @@ fi
 CHC_STAMP_BUILD_TYPE="$BUILD_TYPE" \
 CHC_STAMP_CXX_FLAGS="$CXX_FLAGS" \
 CHC_STAMP_CXX_FLAGS_CFG="$CXX_FLAGS_CFG" \
-CHC_STAMP_SIMD="$CHC_SIMD_VAL" \
 CHC_STAMP_LTO="$CHC_LTO_VAL" \
 CHC_STAMP_COMPILER="$COMPILER" \
 CHC_STAMP_NUM_CPUS="$NUM_CPUS" \
@@ -186,7 +185,6 @@ doc["build"] = {
     "compiler": os.environ["CHC_STAMP_COMPILER"],
     "cxx_flags": os.environ["CHC_STAMP_CXX_FLAGS"],
     "cxx_flags_config": os.environ["CHC_STAMP_CXX_FLAGS_CFG"],
-    "CHC_SIMD": os.environ["CHC_STAMP_SIMD"],
     "CHC_LTO": os.environ["CHC_STAMP_LTO"],
 }
 doc["host"] = {
@@ -249,7 +247,6 @@ def describe(doc, label):
     build = doc.get("build", {})
     host = doc.get("host", {})
     print(f"  {label}: build_type={doc.get('build_type', 'unknown')}"
-          f" CHC_SIMD={build.get('CHC_SIMD', '?')}"
           f" CHC_LTO={build.get('CHC_LTO', '?')}"
           f" num_cpus={host.get('num_cpus', '?')}"
           f" cpu_features={','.join(host.get('cpu_features', [])) or '?'}",

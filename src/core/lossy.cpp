@@ -4,7 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "core/process_cc.hpp"
 #include "geometry/intern.hpp"
@@ -247,14 +246,8 @@ LossyRunOutput run_cc_lossy_custom(const LossyRunConfig& lc,
       [](obs::Registry& m, const LossyRunOutput& o) {
         m.counter("cc.decided").inc(o.trace->decided().size());
         m.gauge("cc.max_round").set(static_cast<double>(o.trace->max_round()));
-        // Geometry-kernel health: arena churn and the combination memo's
-        // hit rate. Process-wide totals (gauges, not deltas) — a steady-state
-        // run shows geo.arena.chunk_mallocs flat across repeats.
-        const common::ArenaStats as = common::arena_stats();
-        m.gauge("geo.arena.chunk_mallocs")
-            .set(static_cast<double>(as.chunk_mallocs));
-        m.gauge("geo.arena.chunk_bytes").set(static_cast<double>(as.chunk_bytes));
-        m.gauge("geo.arena.high_water").set(static_cast<double>(as.high_water));
+        // Geometry-kernel health: the combination memo's hit rate.
+        // Process-wide totals (gauges, not deltas).
         const geo::InternStats is = geo::intern_stats();
         m.gauge("geo.combo.hits").set(static_cast<double>(is.combo_hits));
         m.gauge("geo.combo.misses").set(static_cast<double>(is.combo_misses));

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "geometry/hull2d.hpp"
 
@@ -119,13 +118,9 @@ Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
   // fan; tied edges are bitwise-identical, so the pick never changes the
   // walk's bits. The walk closes back at the start because each fan's
   // edges sum to zero, so the last (maximal) edge is not walked rather
-  // than emitting a near-duplicate of the start vertex. The walk lives in
-  // arena scratch until canonicalization picks the surviving vertices.
-  common::ArenaScope scope;
-  double* xs = static_cast<double*>(
-      scope.arena().allocate(total * sizeof(double), alignof(double)));
-  double* ys = static_cast<double*>(
-      scope.arena().allocate(total * sizeof(double), alignof(double)));
+  // than emitting a near-duplicate of the start vertex. The walk is
+  // scratch until canonicalization picks the surviving vertices.
+  std::vector<double> xs(total), ys(total);
   std::vector<std::size_t> head(fans.size(), 0);
   xs[0] = start_x;
   ys[0] = start_y;
@@ -143,7 +138,7 @@ Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
     xs[step + 1] = xs[step] + e.ex;
     ys[step + 1] = ys[step] + e.ey;
   }
-  return Polytope::from_convex_walk_xy(xs, ys, total, rel_tol);
+  return Polytope::from_convex_walk_xy(xs.data(), ys.data(), total, rel_tol);
 }
 
 }  // namespace chc::geo

@@ -4,9 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
-#include "geometry/simd.hpp"
 
 namespace chc::geo {
 namespace {
@@ -86,38 +84,16 @@ Vec nearest_point_in_hull(const std::vector<Vec>& verts, const Vec& p,
   std::vector<double> alpha = {1.0};
   Vec x = w[start];
 
-  // The translated vertex set `w` is fixed for the whole solve, so for
-  // d <= 4 the major cycle's argmin sweeps one SoA mirror (arena scratch)
-  // with the batched kernel — same accumulation order and first-wins
-  // compare as the scalar loop, so iterates are bit-identical.
-  common::ArenaScope scratch;
-  const std::size_t d = p.dim();
-  const bool batched = d >= 1 && d <= 4;
-  const double* xs[4] = {nullptr, nullptr, nullptr, nullptr};
-  if (batched) {
-    for (std::size_t j = 0; j < d; ++j) {
-      double* col = static_cast<double*>(
-          scratch.arena().allocate(m * sizeof(double), alignof(double)));
-      for (std::size_t i = 0; i < m; ++i) col[i] = w[i][j];
-      xs[j] = col;
-    }
-  }
-
   for (std::size_t iter = 0; iter < max_iter; ++iter) {
     // Major cycle: most-violating vertex for the optimality condition
     // x·w_j >= x·x for all j.
     std::size_t jmin = 0;
-    double vmin = 0.0;
-    if (batched) {
-      jmin = simd::argmin_dot(xs, d, m, x.data(), &vmin);
-    } else {
-      vmin = x.dot(w[0]);
-      for (std::size_t j = 1; j < m; ++j) {
-        const double v = x.dot(w[j]);
-        if (v < vmin) {
-          vmin = v;
-          jmin = j;
-        }
+    double vmin = x.dot(w[0]);
+    for (std::size_t j = 1; j < m; ++j) {
+      const double v = x.dot(w[j]);
+      if (v < vmin) {
+        vmin = v;
+        jmin = j;
       }
     }
     if (x.norm2() - vmin <= stop_tol) break;  // optimal

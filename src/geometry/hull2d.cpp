@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
-#include "geometry/simd.hpp"
 
 namespace chc::geo {
 namespace {
@@ -123,31 +121,16 @@ std::vector<Vec> clip_halfplane(const std::vector<Vec>& poly, const Vec& a,
     return in0 ? std::vector<Vec>{poly[0], cut} : std::vector<Vec>{cut, poly[1]};
   }
 
-  // Batched classification: one affine sweep computes a·p for every vertex
-  // (bit-identical to the scalar dot), then the emit loop reads the flags.
-  common::ArenaScope scope;
   const std::size_t n = poly.size();
-  double* cx = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  double* cy = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  double* dots = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  for (std::size_t i = 0; i < n; ++i) {
-    cx[i] = poly[i][0];
-    cy[i] = poly[i][1];
-  }
-  const double* xs[2] = {cx, cy};
-  simd::affine_eval(xs, 2, n, a.data(), 0.0, dots);
-
   std::vector<Vec> out;
   out.reserve(n + 1);
+  bool si = inside(poly[0]);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t next = (i + 1) % n;
-    const bool si = dots[i] <= b + dist_tol;
-    const bool ei = dots[next] <= b + dist_tol;
+    const bool ei = inside(poly[next]);
     if (si) out.push_back(poly[i]);
     if (si != ei) out.push_back(intersect(poly[i], poly[next]));
+    si = ei;
   }
   // Canonicalize: clipping can introduce duplicates/collinear vertices.
   return hull2d(std::move(out));

@@ -19,14 +19,14 @@
 // value (live handles stay valid; the value merely stops being dedupable),
 // so a long multi-instance run cannot grow the table monotonically.
 //
-// Memoized combinations live in one unlocked table per thread (the
-// common::thread_arena() idiom): each svc shard and NodeRuntime thread has
-// its own, FIFO-bounded at kComboMemoCapacity entries. The round-0 state
-// Γ(X_i) (Algorithm CC line 5) has a second such memo, keyed on the exact
-// view: processes that end round 0 with one view compute Γ once. Both
-// memos are semantically transparent — a hit returns exactly the polytope
-// a fresh computation would intern — so which thread's memo served a call
-// never changes results.
+// Memoized combinations live in one unlocked table per thread: each svc
+// shard and NodeRuntime thread has its own, FIFO-bounded at
+// kComboMemoCapacity entries. The round-0 state Γ(X_i) (Algorithm CC
+// line 5) has a second such memo, keyed on the exact view: processes that
+// end round 0 with one view compute Γ once. Both memos are semantically
+// transparent — a hit returns exactly the polytope a fresh computation
+// would intern — so which thread's memo served a call never changes
+// results.
 #pragma once
 
 #include <cstddef>

@@ -5,13 +5,11 @@
 #include <cstdint>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/combinatorics.hpp"
 #include "geometry/combine2d.hpp"
 #include "geometry/hull2d.hpp"
 #include "geometry/quickhull.hpp"
-#include "geometry/simd.hpp"
 #include "lp/simplex.hpp"
 
 namespace chc::geo {
@@ -307,47 +305,6 @@ SubsetHull2d build_subset_hull2d(const std::vector<Vec>& points,
   return out;
 }
 
-/// The working polygon of the ordered 2-D clip reduction plus an SoA
-/// (coordinate-major) mirror of its vertices, so the per-halfplane
-/// containment pre-check is one batched simd::all_below sweep. The mirror
-/// lives on the thread arena and is rebuilt only when a clip actually
-/// changes the polygon — in the subset-hull reduction almost all clips are
-/// no-ops (the intersection shrinks once, then stays inside most subsequent
-/// hulls), so the common case is a pure read.
-class ClipReduction2d {
- public:
-  explicit ClipReduction2d(std::vector<Vec> poly) : poly_(std::move(poly)) {}
-
-  const std::vector<Vec>& poly() const { return poly_; }
-  bool empty() const { return poly_.empty(); }
-
-  /// Clips by {x : a·x <= b}; returns false once the polygon is empty.
-  bool clip(const Vec& a, double b, double tol) {
-    const double dist_tol = tol * std::max(1.0, a.norm());
-    if (dirty_) {
-      sx_.assign(poly_.size(), 0.0);
-      sy_.assign(poly_.size(), 0.0);
-      for (std::size_t i = 0; i < poly_.size(); ++i) {
-        sx_[i] = poly_[i][0];
-        sy_[i] = poly_[i][1];
-      }
-      dirty_ = false;
-    }
-    const double* xs[2] = {sx_.data(), sy_.data()};
-    if (simd::all_below(xs, 2, poly_.size(), a.data(), b + dist_tol)) {
-      return true;  // every vertex already inside: the clip is the identity
-    }
-    poly_ = clip_halfplane(poly_, a, b, tol);
-    dirty_ = true;
-    return !poly_.empty();
-  }
-
- private:
-  std::vector<Vec> poly_;
-  common::ArenaVector<double> sx_, sy_;
-  bool dirty_ = true;
-};
-
 }  // namespace
 
 Polytope intersect_halfspaces(std::size_t dim,
@@ -476,21 +433,26 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
     }
     const double tol = rel_tol * scale;
     // Ordered reduction: clip the first subset's polygon with every later
-    // subset's halfplanes, in rank order.
-    common::ArenaScope scratch;  // reclaims the SoA mirrors wholesale
-    ClipReduction2d reduction(hulls[0].poly);
-    bool alive = !reduction.empty();
-    for (std::size_t i = 1; i < hulls.size() && alive; ++i) {
+    // subset's halfplanes, in rank order. Almost every clip is a no-op (the
+    // intersection shrinks once, then stays inside most later hulls), so a
+    // halfplane clips only when some vertex lies outside it.
+    std::vector<Vec> poly = std::move(hulls[0].poly);
+    for (std::size_t i = 1; i < hulls.size() && !poly.empty(); ++i) {
       for (const Halfspace& hs : hulls[i].hs) {
-        alive = reduction.clip(hs.a, hs.b, tol);
-        if (!alive) break;
+        const double dist_tol = tol * std::max(1.0, hs.a.norm());
+        const auto outside = [&](const Vec& v) {
+          return hs.a.dot(v) > hs.b + dist_tol;
+        };
+        if (std::none_of(poly.begin(), poly.end(), outside)) continue;
+        poly = clip_halfplane(poly, hs.a, hs.b, tol);
+        if (poly.empty()) break;
       }
     }
-    if (!alive) return Polytope::empty(2);
+    if (poly.empty()) return Polytope::empty(2);
     // The clipped polygon is a CCW convex walk: from_walk2d gives it
     // from_points' vertex bits with a deferred H-rep and no second
     // (local) vertex array, the same slim form as L's d = 2 output.
-    return Polytope::from_walk2d(reduction.poly(), rel_tol);
+    return Polytope::from_walk2d(poly, rel_tol);
   }
 
   return subset_hulls_by_halfspaces(points, drop, rel_tol);

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <ostream>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
 #include "geometry/distance.hpp"
 #include "geometry/hull2d.hpp"
 #include "geometry/quickhull.hpp"
-#include "geometry/simd.hpp"
 
 namespace chc::geo {
 namespace {
@@ -111,17 +110,13 @@ Polytope Polytope::from_walk2d(const std::vector<Vec>& points,
                                double rel_tol) {
   CHC_CHECK(!points.empty(), "hull of an empty point set; use Polytope::empty");
   CHC_CHECK(points[0].dim() == 2, "from_walk2d expects 2-D points");
-  common::ArenaScope scope;
   const std::size_t n = points.size();
-  double* xs = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
-  double* ys = static_cast<double*>(
-      scope.arena().allocate(n * sizeof(double), alignof(double)));
+  std::vector<double> xs(n), ys(n);
   for (std::size_t i = 0; i < n; ++i) {
     xs[i] = points[i][0];
     ys[i] = points[i][1];
   }
-  return from_convex_walk_xy(xs, ys, n, rel_tol);
+  return from_convex_walk_xy(xs.data(), ys.data(), n, rel_tol);
 }
 
 Polytope Polytope::from_convex_walk_xy(const double* xs, const double* ys,
@@ -143,9 +138,7 @@ Polytope Polytope::from_convex_walk_xy(const double* xs, const double* ys,
   // then one Graham-style pass with hull2d's exact predicates (approx_eq
   // point dedup, cross ≤ tol pruning). Runs on index scratch; falls back
   // to the full sort-based hull whenever the walk is not robustly convex.
-  common::ArenaScope scope;
-  std::uint32_t* keep = static_cast<std::uint32_t*>(
-      scope.arena().allocate(n * sizeof(std::uint32_t), alignof(std::uint32_t)));
+  std::vector<std::uint32_t> keep(n);
   const auto cross_keep = [&](std::size_t a, std::size_t b, std::size_t c) {
     return (xs[b] - xs[a]) * (ys[c] - ys[a]) -
            (ys[b] - ys[a]) * (xs[c] - xs[a]);
@@ -212,7 +205,6 @@ Polytope Polytope::assemble_walk2d(std::vector<Vec> hull, double area) {
   // verts_, so local_vertices() aliases instead of copying.
   p.intrinsic_measure_ = area;
   p.hrep_cell_ = std::make_shared<HrepCell>();
-  p.build_soa();
   return p;
 }
 
@@ -315,7 +307,6 @@ void Polytope::finalize(double rel_tol) {
   }
 
   build_hrep(local_hs);
-  build_soa();
 }
 
 // Ambient H-representation: lift local facets, then pin the affine hull
@@ -335,17 +326,6 @@ void Polytope::build_hrep(const std::vector<Halfspace>& local_hs) {
     const double off = n.dot(sub_.origin());
     hrep_.push_back({n, off});
     hrep_.push_back({n * -1.0, -off});
-  }
-}
-
-void Polytope::build_soa() {
-  soa_.clear();
-  if (verts_.empty() || ambient_dim_ == 0 || ambient_dim_ > 4) return;
-  const std::size_t n = verts_.size();
-  soa_.resize(n * ambient_dim_);
-  for (std::size_t j = 0; j < ambient_dim_; ++j) {
-    double* col = soa_.data() + j * n;
-    for (std::size_t i = 0; i < n; ++i) col[i] = verts_[i][j];
   }
 }
 
@@ -419,17 +399,6 @@ bool Polytope::contains(const Polytope& other, double tol) const {
 
 const Vec& Polytope::support(const Vec& dir) const {
   CHC_CHECK(!is_empty(), "support of the empty polytope");
-  if (has_soa()) {
-    // Batched argmax over the SoA mirror: same accumulation order and
-    // first-wins strict compare as the scalar loop below, so the result is
-    // bit-identical (simd.hpp's contract).
-    const double* xs[Vec::kInlineDim];
-    const std::size_t n = verts_.size();
-    for (std::size_t j = 0; j < ambient_dim_; ++j) xs[j] = soa_.data() + j * n;
-    double best_val = 0.0;
-    return verts_[simd::argmax_dot(xs, ambient_dim_, n, dir.data(),
-                                   &best_val)];
-  }
   std::size_t best = 0;
   double best_val = dir.dot(verts_[0]);
   for (std::size_t i = 1; i < verts_.size(); ++i) {

@@ -92,16 +92,6 @@ class Polytope {
   /// first vertex winning ties).
   const Vec& support(const Vec& dir) const;
 
-  /// True when the coordinate-major (SoA) vertex mirror is cached — always
-  /// the case for non-empty polytopes with ambient_dim <= 4. The batched
-  /// SIMD predicates (geometry/simd.hpp) consume this layout.
-  bool has_soa() const { return !soa_.empty(); }
-  /// The j-th coordinate array of the SoA mirror, `vertices().size()`
-  /// doubles long. Requires has_soa() and j < ambient_dim().
-  const double* soa_coord(std::size_t j) const {
-    return soa_.data() + j * verts_.size();
-  }
-
   /// Arithmetic mean of the vertices (a canonical interior point).
   Vec vertex_centroid() const;
 
@@ -139,7 +129,6 @@ class Polytope {
                                       // (walk-built) — use local_vertices()
   std::vector<Halfspace> hrep_;       // ambient H-rep (empty when deferred)
   std::shared_ptr<HrepCell> hrep_cell_;  // non-null iff H-rep is deferred
-  std::vector<double> soa_;           // coordinate-major vertex mirror, d<=4
   double intrinsic_measure_ = 0.0;
 
   /// Vertices in subspace coordinates; identical to verts_ (and not stored
@@ -149,7 +138,6 @@ class Polytope {
   }
   void finalize(double rel_tol);      // fills sub_/local_verts_/hrep_/measure
   void build_hrep(const std::vector<Halfspace>& local_hs);  // lift to ambient
-  void build_soa();
   /// Full-dimensional 2-D assembly from a canonical CCW hull: identity
   /// subspace, deferred H-rep.
   static Polytope assemble_walk2d(std::vector<Vec> hull, double area);

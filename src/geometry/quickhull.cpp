@@ -6,9 +6,7 @@
 #include <map>
 #include <set>
 
-#include "common/arena.hpp"
 #include "common/check.hpp"
-#include "geometry/simd.hpp"
 
 namespace chc::geo {
 namespace {
@@ -199,60 +197,12 @@ Hull quickhull(const std::vector<Vec>& points, double rel_tol) {
 
   std::set<std::size_t> in_simplex(simplex.begin(), simplex.end());
 
-  // SoA mirror of the deduped point set for the batched signed-distance
-  // sweeps below (d <= 4); scratch lives on the thread arena and is
-  // reclaimed when quickhull returns.
-  common::ArenaScope scratch;
-  const bool batched = d <= 4;
-  const double* xs[4] = {nullptr, nullptr, nullptr, nullptr};
-  if (batched) {
-    for (std::size_t j = 0; j < d; ++j) {
-      double* col = static_cast<double*>(
-          scratch.arena().allocate(pts.size() * sizeof(double),
-                                   alignof(double)));
-      for (std::size_t i = 0; i < pts.size(); ++i) col[i] = pts[i][j];
-      xs[j] = col;
-    }
-  }
-
   /// Distributes `pidxs` over the live facets in `candidates`: each point
   /// goes to the candidate it lies furthest outside of (strictly beyond
   /// tol), scanning candidates in order with a strict first-wins compare.
-  /// The batched variant evaluates one signed-distance row per facet over
-  /// all points at once — same accumulation order and comparisons as the
-  /// scalar loop, so the assignment is bit-identical.
   auto assign_outside = [&](const std::vector<std::size_t>& pidxs,
                             const std::vector<std::size_t>& candidates) {
     if (pidxs.empty()) return;
-    if (batched) {
-      common::ArenaScope scope;
-      std::vector<const double*> rows;
-      std::vector<std::size_t> live;
-      rows.reserve(candidates.size());
-      live.reserve(candidates.size());
-      for (std::size_t fid : candidates) {
-        if (!facets[fid].alive) continue;
-        double* row = static_cast<double*>(scope.arena().allocate(
-            pidxs.size() * sizeof(double), alignof(double)));
-        simd::affine_eval_idx(xs, d, pidxs.data(), pidxs.size(),
-                              facets[fid].normal.data(), facets[fid].offset,
-                              row);
-        rows.push_back(row);
-        live.push_back(fid);
-      }
-      for (std::size_t i = 0; i < pidxs.size(); ++i) {
-        double best = tol;
-        std::size_t best_f = facets.size();
-        for (std::size_t r = 0; r < rows.size(); ++r) {
-          if (rows[r][i] > best) {
-            best = rows[r][i];
-            best_f = live[r];
-          }
-        }
-        if (best_f != facets.size()) facets[best_f].outside.push_back(pidxs[i]);
-      }
-      return;
-    }
     for (std::size_t pidx : pidxs) {
       double best = tol;
       std::size_t best_f = facets.size();
@@ -288,29 +238,12 @@ Hull quickhull(const std::vector<Vec>& points, double rel_tol) {
 
     // Apex: furthest outside point of this facet (first-wins ties).
     std::size_t apex = facets[fid].outside[0];
-    if (batched) {
-      common::ArenaScope scope;
-      const auto& out_idx = facets[fid].outside;
-      double* sd = static_cast<double*>(scope.arena().allocate(
-          out_idx.size() * sizeof(double), alignof(double)));
-      simd::affine_eval_idx(xs, d, out_idx.data(), out_idx.size(),
-                            facets[fid].normal.data(), facets[fid].offset,
-                            sd);
-      double apex_d = sd[0];
-      for (std::size_t j = 1; j < out_idx.size(); ++j) {
-        if (sd[j] > apex_d) {
-          apex_d = sd[j];
-          apex = out_idx[j];
-        }
-      }
-    } else {
-      double apex_d = signed_dist(facets[fid], pts[apex]);
-      for (std::size_t p : facets[fid].outside) {
-        const double sd = signed_dist(facets[fid], pts[p]);
-        if (sd > apex_d) {
-          apex_d = sd;
-          apex = p;
-        }
+    double apex_d = signed_dist(facets[fid], pts[apex]);
+    for (std::size_t p : facets[fid].outside) {
+      const double sd = signed_dist(facets[fid], pts[p]);
+      if (sd > apex_d) {
+        apex_d = sd;
+        apex = p;
       }
     }
 

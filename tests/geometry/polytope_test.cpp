@@ -135,6 +135,16 @@ TEST(Polytope, SupportVertex) {
   EXPECT_TRUE(approx_eq(p.support(Vec{-1, 0.1}), Vec{0, 1}, 1e-12));
 }
 
+TEST(Polytope, SupportRejectsWrongDimensionDirection) {
+  const auto square = unit_square();
+  EXPECT_THROW(square.support(Vec{1.0}), ContractViolation);
+  EXPECT_THROW(square.support(Vec{1.0, 0.0, 0.0}), ContractViolation);
+  const auto simplex = Polytope::from_points(
+      {Vec{0, 0, 0}, Vec{1, 0, 0}, Vec{0, 1, 0}, Vec{0, 0, 1}});
+  EXPECT_THROW(simplex.support(Vec{1.0}), ContractViolation);
+  EXPECT_THROW(simplex.support(Vec{1.0, 0.0}), ContractViolation);
+}
+
 TEST(Polytope, CentroidAndBoundingBox) {
   const auto p = unit_square();
   EXPECT_TRUE(approx_eq(p.vertex_centroid(), Vec{0.5, 0.5}, 1e-12));

@@ -9,6 +9,7 @@
 #include "geometry/hull2d.hpp"
 #include "geometry/ops.hpp"
 #include "geometry/polytope.hpp"
+#include "geometry/tverberg.hpp"
 
 namespace chc::geo {
 namespace {
@@ -283,7 +284,35 @@ TEST_P(SubsetHullProperty, WitnessPointSurvivesEverySubset) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, SubsetHullProperty, ::testing::Values(1, 2, 3));
+TEST_P(SubsetHullProperty, CoreInEverySubsetHullAndHoldsTverbergWitness) {
+  // Checks Γ against the subset hulls themselves, not against a second
+  // Γ kernel: every vertex lies in each (m-1)-subset hull, and the witness
+  // of a 2-part Tverberg partition lies in Γ (Lemma 2: dropping one point
+  // leaves one part whole, so the witness stays in every subset hull).
+  const std::size_t d = GetParam();
+  Rng rng(1450 + d);
+  for (int trial = 0; trial < 3; ++trial) {
+    auto pts = cloud(rng, d + 3, d);
+    if (trial == 2) pts.push_back(pts.front());  // multiset input
+    const Polytope core = intersection_of_subset_hulls(pts, 1);
+    ASSERT_FALSE(core.is_empty()) << "d=" << d << " trial=" << trial;
+    for (std::size_t drop = 0; drop < pts.size(); ++drop) {
+      std::vector<Vec> sub;
+      for (std::size_t i = 0; i < pts.size(); ++i) {
+        if (i != drop) sub.push_back(pts[i]);
+      }
+      EXPECT_TRUE(Polytope::from_points(sub).contains(core, 1e-6))
+          << "d=" << d << " trial=" << trial << " dropped " << drop;
+    }
+    const auto partition = tverberg_partition(pts, 2);
+    ASSERT_TRUE(partition.has_value()) << "d=" << d << " trial=" << trial;
+    EXPECT_TRUE(core.contains(partition->witness, 1e-6))
+        << "d=" << d << " trial=" << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, SubsetHullProperty,
+                         ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------
 // Nearest-point (Wolfe) properties.

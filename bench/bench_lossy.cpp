@@ -95,9 +95,10 @@ int main(int argc, char** argv) {
   std::cout << "all shimmed runs certified: " << (all_certified ? "yes" : "NO")
             << "\n(raw_decided: runs deciding with the shim DISABLED — the "
                "drop=0 rows keep\ndeciding, lossy rows generally stall on "
-               "quorum waits that are never repaired;\navg_retx is dominated "
-               "by retransmission to the mid-broadcast-crashed process,\n"
-               "which never acks — the per-channel retry budget bounds that "
-               "cost)\n";
+               "quorum waits that are never repaired;\navg_retx counts "
+               "retransmission to the mid-broadcast-crashed process too,\n"
+               "which never acks — once it is silent only its oldest frame "
+               "is probed,\nso it costs one frame per RTO until the retry "
+               "budget runs out)\n";
   return all_certified ? 0 : 1;
 }

@@ -58,7 +58,6 @@ obs::TraceHeader make_trace_header(const LossyRunConfig& lc,
   h.backoff = lc.rel.backoff;
   h.rto_max = lc.rel.rto_max;
   h.jitter = lc.rel.jitter;
-  h.tick = lc.rel.tick;
   h.max_retries = lc.rel.max_retries;
   h.max_events = lc.max_events;
   h.overrides = to_header_overrides(lc.policy);

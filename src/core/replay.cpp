@@ -31,7 +31,6 @@ const char* bad_link_field(double drop, double dup, double reorder,
 /// refuse, or returns nullptr.
 const char* bad_shim_field(const obs::TraceHeader& h) {
   if (!(h.rto > 0.0)) return "rto";
-  if (!(h.tick > 0.0)) return "tick";
   if (!(h.backoff >= 1.0)) return "backoff";
   if (!(h.rto_max >= h.rto)) return "rto_max";
   if (!(h.jitter >= 0.0 && h.jitter < 1.0)) return "jitter";
@@ -165,7 +164,6 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   out.rel.backoff = h.backoff;
   out.rel.rto_max = h.rto_max;
   out.rel.jitter = h.jitter;
-  out.rel.tick = h.tick;
   out.rel.max_retries = h.max_retries;
   out.max_events = h.max_events;
 

@@ -144,19 +144,19 @@ class PolicySchedule {
 /// its time_scale).
 struct ReliableParams {
   /// Initial retransmission timeout. The stock delay models draw one-way
-  /// latencies <= 1.0, so with the scan-timer quantization (+tick) and the
-  /// jitter low end (x(1-jitter)) a 3.0 initial RTO stays above the
-  /// worst-case RTT — a clean network sees zero spurious retransmissions.
+  /// latencies <= 1.0, so the worst-case clean RTT is 2.0; at the jitter
+  /// low end (x(1-jitter)) a 3.0 initial RTO still fires no earlier than
+  /// 2.25 — a clean network sees zero spurious retransmissions.
   double rto = 3.0;
   double backoff = 2.0;    ///< exponential backoff factor per retry
   double rto_max = 20.0;   ///< backoff ceiling
   double jitter = 0.25;    ///< +/- fraction of randomization on each RTO
-  double tick = 0.5;       ///< period of the retransmit-scan timer
   /// Per-packet retry budget. Fair-lossy links only need "retransmit until
-  /// acked", but a crashed receiver never acks — after this many retries
-  /// the channel declares the peer unreachable and stops, so executions
-  /// quiesce. At rto=3, backoff 2x capped at 20: ~15 retries span ~260
-  /// time units, far beyond any CC execution against a live peer.
+  /// acked", but a crashed receiver never acks — once the oldest unacked
+  /// frame has been retried this often the channel declares the peer
+  /// unreachable and stops, so executions quiesce. At rto=3, backoff 2x
+  /// capped at 20: ~15 retries span ~260 time units after that frame's
+  /// first send, far beyond any CC execution against a live peer.
   std::size_t max_retries = 15;
 };
 

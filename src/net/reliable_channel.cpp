@@ -1,11 +1,23 @@
 #include "net/reliable_channel.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace chc::net {
+
+namespace {
+
+/// Retransmissions of a peer's oldest unacked frame after which the peer
+/// counts as silent: until it is heard again, only that frame is
+/// retransmitted.
+constexpr std::size_t kSilentAfter = 2;
+
+constexpr sim::Time kNever = std::numeric_limits<sim::Time>::infinity();
+
+}  // namespace
 
 ShimStats& ShimStats::operator+=(const ShimStats& o) {
   data_sent += o.data_sent;
@@ -72,7 +84,7 @@ ReliableChannel::ReliableChannel(std::unique_ptr<sim::Process> inner,
     : inner_(std::move(inner)), params_(params), epoch_(epoch) {
   if (tracer != nullptr) tracer_ = tracer;
   CHC_CHECK(inner_ != nullptr, "null wrapped process");
-  CHC_CHECK(params_.rto > 0.0 && params_.tick > 0.0, "timeouts must be > 0");
+  CHC_CHECK(params_.rto > 0.0, "timeouts must be > 0");
   CHC_CHECK(params_.backoff >= 1.0, "backoff factor must be >= 1");
   CHC_CHECK(params_.rto_max >= params_.rto, "rto_max below initial rto");
   CHC_CHECK(params_.jitter >= 0.0 && params_.jitter < 1.0,
@@ -83,15 +95,51 @@ void ReliableChannel::ensure_peers(sim::Context& ctx) {
   if (peers_.empty()) peers_.resize(ctx.n());
 }
 
-void ReliableChannel::ensure_tick(sim::Context& ctx) {
-  if (tick_pending_) return;
-  tick_pending_ = true;
-  ctx.set_timer(params_.tick, kRelTickToken);
+void ReliableChannel::arm_at(sim::Context& ctx, sim::Time at) {
+  if (!timers_.empty() && timers_.top() <= at) return;
+  // Record the fire time exactly as the context computes it, so the timer
+  // finds itself in timers_ when it fires (a context may only delay it).
+  const sim::Time now = ctx.now();
+  const sim::Time delay = at - now;
+  timers_.push(now + delay);
+  ctx.set_timer(delay, kRelTickToken);
+}
+
+void ReliableChannel::arm(sim::Context& ctx) {
+  sim::Time earliest = kNever;
+  for (const Peer& peer : peers_) {
+    if (peer.window.empty()) continue;
+    if (peer.silent) {
+      earliest = std::min(earliest, peer.window.front().next_at);
+      continue;
+    }
+    for (const Outstanding& o : peer.window) {
+      earliest = std::min(earliest, o.next_at);
+    }
+  }
+  if (earliest != kNever) arm_at(ctx, earliest);
 }
 
 sim::Time ReliableChannel::jittered(sim::Time rto, Rng& rng) const {
   if (params_.jitter == 0.0) return rto;
   return rto * rng.uniform(1.0 - params_.jitter, 1.0 + params_.jitter);
+}
+
+void ReliableChannel::send_data(sim::Context& ctx, sim::ProcessId to,
+                                const Outstanding& o) {
+  Peer& peer = peers_[to];
+  peer.ack_sent = peer.recv_next;
+  ctx.send(to, kTagRelData,
+           RelData{o.seq, peer.recv_next, o.tag, o.payload, epoch_,
+                   peer.epoch});
+}
+
+void ReliableChannel::send_ack(sim::Context& ctx, sim::ProcessId to,
+                               std::uint32_t dst_epoch) {
+  Peer& peer = peers_[to];
+  peer.ack_sent = peer.recv_next;
+  ++stats_.acks_sent;
+  ctx.send(to, kTagRelAck, RelAck{peer.recv_next, epoch_, dst_epoch});
 }
 
 void ReliableChannel::reliable_send(sim::Context& ctx, sim::ProcessId to,
@@ -105,15 +153,36 @@ void ReliableChannel::reliable_send(sim::Context& ctx, sim::ProcessId to,
   Outstanding o;
   o.seq = peer.next_seq++;
   o.tag = tag;
-  o.payload = payload;  // shared with the frame, kept for retransmission
+  o.payload = std::move(payload);  // shared with every (re)transmission
   o.cur_rto = params_.rto;
   o.next_at = ctx.now() + jittered(params_.rto, ctx.rng());
   peer.window.push_back(std::move(o));
   ++stats_.data_sent;
-  ctx.send(to, kTagRelData,
-           RelData{peer.window.back().seq, peer.recv_next, tag,
-                   std::move(payload), epoch_, peer.epoch});
-  ensure_tick(ctx);
+  const Outstanding& sent = peer.window.back();
+  send_data(ctx, to, sent);
+  // A silent peer's new frames wait behind the probe of its oldest one.
+  if (!peer.silent) arm_at(ctx, sent.next_at);
+}
+
+void ReliableChannel::retransmit(sim::Context& ctx, sim::ProcessId to,
+                                 Outstanding& o) {
+  const sim::Time now = ctx.now();
+  ++o.retries;
+  ++stats_.retransmits;
+  ++stats_.retransmit_by_tag[o.tag];
+  tracer_->emit_with([&] {
+    obs::TraceEvent e;
+    e.kind = obs::EventKind::kRetransmit;
+    e.t = now;
+    e.p = ctx.self();
+    e.peer = to;
+    e.tag = o.tag;
+    e.aux = o.retries;
+    return e;
+  });
+  o.cur_rto = std::min(o.cur_rto * params_.backoff, params_.rto_max);
+  o.next_at = now + jittered(o.cur_rto, ctx.rng());
+  send_data(ctx, to, o);
 }
 
 void ReliableChannel::apply_ack(sim::ProcessId peer_id,
@@ -124,13 +193,27 @@ void ReliableChannel::apply_ack(sim::ProcessId peer_id,
   }
 }
 
+void ReliableChannel::heard(sim::Context& ctx, sim::ProcessId peer_id) {
+  Peer& peer = peers_[peer_id];
+  if (!peer.silent) return;
+  peer.silent = false;
+  // The frozen part of the window is overdue: send all of it now rather
+  // than wait for deadlines that passed while only the head was probed.
+  for (Outstanding& o : peer.window) {
+    retransmit(ctx, peer_id, o);
+    arm_at(ctx, o.next_at);
+  }
+}
+
 void ReliableChannel::reset_peer(sim::Context& ctx, sim::ProcessId peer_id,
                                  std::uint32_t new_epoch) {
   Peer& peer = peers_[peer_id];
   peer.epoch = new_epoch;
   peer.recv_next = 0;
+  peer.ack_sent = 0;
   peer.reorder.clear();
   peer.gave_up = false;
+  peer.silent = false;
   ++stats_.channel_resets;
   // The restarted peer lost its receive state, so whatever of our stream it
   // had already consumed is gone with it. Restart the conversation: the
@@ -145,12 +228,10 @@ void ReliableChannel::reset_peer(sim::Context& ctx, sim::ProcessId peer_id,
     o.retries = 0;
     o.cur_rto = params_.rto;
     o.next_at = now + jittered(params_.rto, ctx.rng());
-    ctx.send(peer_id, kTagRelData,
-             RelData{o.seq, peer.recv_next, o.tag, o.payload, epoch_,
-                     peer.epoch});
+    send_data(ctx, peer_id, o);
+    arm_at(ctx, o.next_at);
   }
   peer.next_seq = seq;
-  if (!peer.window.empty()) ensure_tick(ctx);
 }
 
 void ReliableChannel::deliver_to_inner(sim::Context& ctx, sim::ProcessId from,
@@ -201,16 +282,18 @@ void ReliableChannel::on_message(sim::Context& ctx, const sim::Message& msg) {
       // conversation we have no state for. Ignore the content but teach
       // the peer our epoch with a bare ack so it resets quickly.
       ++stats_.stale_epoch_dropped;
-      ++stats_.acks_sent;
-      ctx.send(msg.from, kTagRelAck,
-               RelAck{peer.recv_next, epoch_, data.src_epoch});
+      heard(ctx, msg.from);
+      send_ack(ctx, msg.from, data.src_epoch);
       return;
     }
     apply_ack(msg.from, data.cum_ack);
+    heard(ctx, msg.from);
     if (data.seq < peer.recv_next) {
       ++stats_.dups_suppressed;  // already delivered; ack below repairs
     } else if (data.seq == peer.recv_next) {
       deliver_in_order(ctx, msg.from, data);
+      // A reply sent from the inner callback already carries this ack.
+      if (peer.ack_sent == peer.recv_next) return;
     } else if (peer.reorder
                    .emplace(data.seq, std::make_pair(data.tag, data.payload))
                    .second) {
@@ -218,9 +301,7 @@ void ReliableChannel::on_message(sim::Context& ctx, const sim::Message& msg) {
     } else {
       ++stats_.dups_suppressed;  // duplicate of an already-buffered frame
     }
-    ++stats_.acks_sent;
-    ctx.send(msg.from, kTagRelAck,
-             RelAck{peer.recv_next, epoch_, data.src_epoch});
+    send_ack(ctx, msg.from, data.src_epoch);
   } else if (msg.tag == kTagRelAck) {
     const auto& ack = std::any_cast<const RelAck&>(*msg.payload);
     Peer& peer = peers_[msg.from];
@@ -233,9 +314,10 @@ void ReliableChannel::on_message(sim::Context& ctx, const sim::Message& msg) {
     }
     if (ack.dst_epoch != epoch_) {
       ++stats_.stale_epoch_dropped;  // acks a stream we no longer own
-      return;
+    } else {
+      apply_ack(msg.from, ack.cum_ack);
     }
-    apply_ack(msg.from, ack.cum_ack);
+    heard(ctx, msg.from);
   } else {
     // Traffic from an unwrapped peer: pass through (mixed deployments).
     CtxWrap wrapped(this, &ctx);
@@ -249,19 +331,23 @@ void ReliableChannel::on_timer(sim::Context& ctx, int token) {
     inner_->on_timer(wrapped, token);
     return;
   }
-  tick_pending_ = false;
   const sim::Time now = ctx.now();
-  bool outstanding = false;
+  while (!timers_.empty() && timers_.top() <= now) timers_.pop();
   for (sim::ProcessId p = 0; p < peers_.size(); ++p) {
     Peer& peer = peers_[p];
-    if (peer.gave_up) continue;
-    for (Outstanding& o : peer.window) {
+    // A silent peer is probed with its oldest frame only.
+    const std::size_t span =
+        peer.silent ? std::min<std::size_t>(1, peer.window.size())
+                    : peer.window.size();
+    for (std::size_t i = 0; i < span; ++i) {
+      Outstanding& o = peer.window[i];
       if (o.next_at > now) continue;
       if (o.retries >= params_.max_retries) {
         // Retry budget exhausted: the peer is presumed crashed — abandon
         // the whole channel so the execution can quiesce. A later frame
         // from a newer epoch of the peer rescinds this (reset_peer).
         peer.gave_up = true;
+        peer.silent = false;
         peer.window.clear();
         ++stats_.channels_abandoned;
         tracer_->emit_with([&] {
@@ -274,28 +360,11 @@ void ReliableChannel::on_timer(sim::Context& ctx, int token) {
         });
         break;
       }
-      ++o.retries;
-      ++stats_.retransmits;
-      ++stats_.retransmit_by_tag[o.tag];
-      tracer_->emit_with([&] {
-        obs::TraceEvent e;
-        e.kind = obs::EventKind::kRetransmit;
-        e.t = now;
-        e.p = ctx.self();
-        e.peer = p;
-        e.tag = o.tag;
-        e.aux = o.retries;
-        return e;
-      });
-      o.cur_rto = std::min(o.cur_rto * params_.backoff, params_.rto_max);
-      o.next_at = now + jittered(o.cur_rto, ctx.rng());
-      ctx.send(p, kTagRelData,
-               RelData{o.seq, peer.recv_next, o.tag, o.payload, epoch_,
-                       peer.epoch});
+      retransmit(ctx, p, o);
+      if (i == 0 && o.retries >= kSilentAfter) peer.silent = true;
     }
-    if (!peer.window.empty()) outstanding = true;
   }
-  if (outstanding) ensure_tick(ctx);
+  arm(ctx);
 }
 
 double ReliableChannel::current_backoff() const {

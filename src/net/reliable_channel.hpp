@@ -6,19 +6,35 @@
 // on lossy networks. Per directed channel the shim maintains:
 //
 //   sender side    per-message sequence numbers; an unacked window kept
-//                  for retransmission; a periodic scan timer retransmits
-//                  due packets with exponential backoff + jitter;
-//   receiver side  cumulative acks (piggybacked on data and sent
-//                  standalone), a dedup filter (seq < expected), and a
-//                  reorder buffer that releases messages to the wrapped
-//                  process strictly in sequence order.
+//                  for retransmission, each frame with its own deadline
+//                  and exponential backoff + jitter; one timer per shim,
+//                  armed at the earliest deadline (RFC 6298 §5);
+//   receiver side  cumulative acks (piggybacked on data, standalone only
+//                  when no reply carried them), a dedup filter (seq <
+//                  expected), and a reorder buffer that releases messages
+//                  to the wrapped process strictly in sequence order.
+//
+// Silent peers: once a peer's oldest unacked frame has been retransmitted
+// twice, the peer is silent and only that frame is retransmitted (on its
+// own backoff) until the peer is heard again — a crashed peer costs one
+// probe per RTO, not the whole window, and the give-up still waits for the
+// oldest frame's retry budget. The first DATA or ACK from the peer's
+// current epoch ends the silence and sends the whole window at once, so a
+// healed partition does not wait out the frozen deadlines. The next timed
+// retransmission of a still-unacked oldest frame makes the peer silent
+// again.
+//
+// Acks: duplicates and out-of-order frames are acked at once. An in-order
+// delivery is acked standalone only when no DATA frame sent to that peer
+// from the same callback (the wrapped process's reply) already carried the
+// new cumulative ack (RFC 1122 §4.2.3.2).
 //
 // Fair-lossy links (drop probability < 1, independent per send) guarantee
 // a retransmitted packet eventually gets through and its ack eventually
 // returns, so every send to a live peer is delivered to the inner process
-// exactly once, in order. A *crashed* peer never acks; after
-// ReliableParams::max_retries the channel is abandoned so executions
-// still quiesce.
+// exactly once, in order. A *crashed* peer never acks; once its oldest
+// frame exhausts ReliableParams::max_retries the channel is abandoned so
+// executions still quiesce.
 //
 // Crash-recover (epochs): a process restarting with fresh state would
 // deadlock the old protocol — its sequence numbers restart at 0, so peers
@@ -48,8 +64,10 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "net/policy.hpp"
@@ -61,7 +79,7 @@ namespace chc::net {
 /// Wire tags of the shim (payloads: RelData / RelAck).
 inline constexpr int kTagRelData = 900;
 inline constexpr int kTagRelAck = 901;
-/// Timer token reserved for the retransmit-scan tick.
+/// Timer token reserved for the shim's retransmission deadline timer.
 inline constexpr int kRelTickToken = 910'000;
 
 /// DATA frame: one wrapped protocol message plus channel bookkeeping.
@@ -84,7 +102,7 @@ struct RelAck {
 /// Work counters of one shim instance (aggregate across processes with +=).
 struct ShimStats {
   std::uint64_t data_sent = 0;    ///< fresh DATA frames (first transmission)
-  std::uint64_t retransmits = 0;  ///< DATA frames re-sent by the scan timer
+  std::uint64_t retransmits = 0;  ///< DATA frames re-sent (timer or heal)
   std::uint64_t acks_sent = 0;
   std::uint64_t delivered = 0;  ///< in-order deliveries to the inner process
   std::uint64_t dups_suppressed = 0;
@@ -143,7 +161,12 @@ class ReliableChannel final : public sim::Process {
     std::uint64_t next_seq = 0;        // sender: next seq to assign
     std::deque<Outstanding> window;    // sender: unacked, seq-ascending
     bool gave_up = false;              // sender: peer presumed crashed
+    /// sender: the window's head has been retransmitted at least the
+    /// threshold's number of times, the last one after the peer was last
+    /// heard; only the head is retransmitted.
+    bool silent = false;
     std::uint64_t recv_next = 0;       // receiver: next seq expected
+    std::uint64_t ack_sent = 0;        // receiver: cum_ack of the last frame
     std::map<std::uint64_t, std::pair<int, sim::Payload>> reorder;
     std::uint32_t epoch = 0;           // last known peer incarnation
   };
@@ -152,11 +175,20 @@ class ReliableChannel final : public sim::Process {
   friend class CtxWrap;
 
   void ensure_peers(sim::Context& ctx);
-  void ensure_tick(sim::Context& ctx);
+  /// Makes a timer fire at `at` unless a pending one fires no later.
+  void arm_at(sim::Context& ctx, sim::Time at);
+  /// Arms the timer at the earliest deadline any window is waiting on.
+  void arm(sim::Context& ctx);
   sim::Time jittered(sim::Time rto, Rng& rng) const;
   void reliable_send(sim::Context& ctx, sim::ProcessId to, int tag,
                      sim::Payload payload);
+  void send_data(sim::Context& ctx, sim::ProcessId to, const Outstanding& o);
+  void send_ack(sim::Context& ctx, sim::ProcessId to, std::uint32_t dst_epoch);
+  void retransmit(sim::Context& ctx, sim::ProcessId to, Outstanding& o);
   void apply_ack(sim::ProcessId peer_id, std::uint64_t cum_ack);
+  /// A frame of the peer's current epoch arrived: a silent peer gets its
+  /// whole window at once.
+  void heard(sim::Context& ctx, sim::ProcessId peer_id);
   /// The peer restarted with a newer epoch: restart the receive stream,
   /// renumber + resend the unacked window, rescind any give-up.
   void reset_peer(sim::Context& ctx, sim::ProcessId peer_id,
@@ -172,7 +204,9 @@ class ReliableChannel final : public sim::Process {
   obs::Tracer disabled_tracer_;
   obs::Tracer* tracer_ = &disabled_tracer_;
   std::vector<Peer> peers_;  // sized on first callback
-  bool tick_pending_ = false;
+  /// Fire times of the deadline timers set and not yet fired (min-heap).
+  std::priority_queue<sim::Time, std::vector<sim::Time>, std::greater<>>
+      timers_;
   ShimStats stats_;
 };
 

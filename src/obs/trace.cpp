@@ -361,7 +361,6 @@ std::string to_jsonl(const TraceHeader& h) {
   dbl("backoff", h.backoff);
   dbl("rto_max", h.rto_max);
   dbl("jitter", h.jitter);
-  dbl("tick", h.tick);
   u64("max_retries", h.max_retries);
   u64("max_events", h.max_events);
   if (h.clock_rate != 1.0) dbl("clock_rate", h.clock_rate);
@@ -511,7 +510,6 @@ bool parse_header(std::string_view line, TraceHeader& out,
   r.read("backoff", out.backoff);
   r.read("rto_max", out.rto_max);
   r.read("jitter", out.jitter);
-  r.read("tick", out.tick);
   r.read("max_retries", out.max_retries);
   r.read("max_events", out.max_events);
   r.read("clock_rate", out.clock_rate);

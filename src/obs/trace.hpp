@@ -166,7 +166,7 @@ struct TraceHeader {
   double drop = 0.0, dup = 0.0, reorder = 0.0;
   double reorder_delay_min = 0.5, reorder_delay_max = 3.0;
   bool reliable = false;
-  double rto = 3.0, backoff = 2.0, rto_max = 20.0, jitter = 0.25, tick = 0.5;
+  double rto = 3.0, backoff = 2.0, rto_max = 20.0, jitter = 0.25;
   std::uint64_t max_retries = 15;
   std::uint64_t max_events = 50'000'000;
 

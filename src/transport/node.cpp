@@ -25,7 +25,7 @@ double mono_now() {
 }  // namespace
 
 net::ReliableParams live_reliable_params() {
-  net::ReliableParams p;  // sim-calibrated rto/backoff/jitter/tick
+  net::ReliableParams p;  // sim-calibrated rto/backoff/jitter
   // A restarting peer is gone for wall seconds (hundreds of model units at
   // the default time scale); keep retransmitting well past that so the
   // channel is still alive when the new incarnation's HELLO lands.
@@ -236,7 +236,6 @@ void NodeRuntime::start_instance(const InstanceSpec& spec) {
     h.backoff = cfg_.rel.backoff;
     h.rto_max = cfg_.rel.rto_max;
     h.jitter = cfg_.rel.jitter;
-    h.tick = cfg_.rel.tick;
     h.max_retries = cfg_.rel.max_retries;
     h.clock_rate = cfg_.clock_rate;
     h.phases = nemesis_phases_;

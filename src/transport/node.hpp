@@ -9,7 +9,7 @@
 //
 //   model_now = elapsed_wall_seconds / time_scale
 //
-// so the shim's model-unit timeouts (RTO 3.0, tick 0.5) become
+// so the shim's model-unit timeouts (initial RTO 3.0) become
 // milliseconds on a LAN at the default time_scale of 2 ms per unit. The
 // transport is best-effort and a TCP reset silently eats in-flight frames,
 // which is precisely the fair-lossy contract the shim's retransmission +

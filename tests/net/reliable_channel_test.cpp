@@ -25,6 +25,7 @@ class Burst final : public sim::Process {
  public:
   struct Log {
     std::vector<std::pair<sim::ProcessId, int>> deliveries;
+    std::vector<sim::Time> times;  ///< when each delivery happened
   };
 
   Burst(Log* log, sim::ProcessId target, int burst)
@@ -33,8 +34,9 @@ class Burst final : public sim::Process {
   void on_start(sim::Context& ctx) override {
     for (int i = 1; i <= burst_; ++i) ctx.send(target_, kTagData, int{i});
   }
-  void on_message(sim::Context&, const sim::Message& msg) override {
+  void on_message(sim::Context& ctx, const sim::Message& msg) override {
     log_->deliveries.emplace_back(msg.from, std::any_cast<int>(*msg.payload));
+    log_->times.push_back(ctx.now());
   }
 
  private:
@@ -226,6 +228,105 @@ TEST(ReliableChannel, CrashedPeerIsAbandonedAndRunQuiesces) {
   EXPECT_TRUE(rr.quiescent) << "retransmission to a dead peer never ended";
   EXPECT_EQ(sender->stats().channels_abandoned, 1u);
   EXPECT_TRUE(log.deliveries.empty());
+}
+
+TEST(ReliableChannel, SilentPeerIsProbedWithItsOldestFrameOnly) {
+  // A crashed receiver never acks. After two unanswered retransmissions of
+  // the oldest frame only that frame keeps being retransmitted, so the dead
+  // peer costs the head's retry budget plus at most two retransmissions of
+  // every other frame — and the give-up still waits for the head's budget.
+  constexpr int kFrames = 20;
+  Burst::Log log;
+  sim::CrashSchedule cs;
+  cs.set(1, sim::CrashPlan::at(0.05));
+  sim::Simulation sim(2, 13, std::make_unique<sim::UniformDelay>(0.1, 1.0),
+                      cs);
+  const ReliableParams params;
+  auto shim = std::make_unique<ReliableChannel>(
+      std::make_unique<Burst>(&log, 1, kFrames), params);
+  const ReliableChannel* sender = shim.get();
+  sim.add_process(std::move(shim));
+  sim.add_process(std::make_unique<ReliableChannel>(
+      std::make_unique<Burst>(&log, 0, 0), params));
+  const auto rr = sim.run(200'000);
+  EXPECT_TRUE(rr.quiescent);
+  EXPECT_TRUE(log.deliveries.empty());
+  EXPECT_EQ(sender->stats().channels_abandoned, 1u);
+  EXPECT_LE(sender->stats().retransmits,
+            params.max_retries + 2 * (kFrames - 1));
+  // One deadline timer: a fire per probe, not a scan of the whole window.
+  EXPECT_LE(rr.stats.timers_fired, params.max_retries + 2 * kFrames);
+  // The give-up horizon is the head's: ~260 units after its first send.
+  EXPECT_GE(rr.stats.end_time, 200.0);
+}
+
+TEST(ReliableChannel, SilentPeerGetsItsWindowAtOnceAfterAHeal) {
+  // 20 frames go into a full cut that heals at t = 40. While the receiver
+  // is silent only the oldest frame is probed; the first ack after the heal
+  // releases the rest of the window at once instead of leaving each frame
+  // to its own backed-off deadline.
+  constexpr int kFrames = 20;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    PolicySchedule schedule;
+    schedule.add(0.0, NetworkPolicy::lossy(1.0));
+    schedule.add(40.0, NetworkPolicy{});
+    Burst::Log log;
+    sim::Simulation sim(2, seed,
+                        std::make_unique<sim::UniformDelay>(0.1, 1.0), {});
+    sim.set_fault_model(std::make_unique<FaultyLinkModel>(schedule));
+    auto shim = std::make_unique<ReliableChannel>(
+        std::make_unique<Burst>(&log, 1, kFrames), ReliableParams{});
+    const ReliableChannel* sender = shim.get();
+    sim.add_process(std::move(shim));
+    sim.add_process(std::make_unique<ReliableChannel>(
+        std::make_unique<Burst>(&log, 0, 0), ReliableParams{}));
+    const auto rr = sim.run();
+    EXPECT_TRUE(rr.quiescent) << seed;
+    ASSERT_EQ(log.deliveries.size(), static_cast<std::size_t>(kFrames))
+        << seed;
+    for (int i = 0; i < kFrames; ++i) {
+      EXPECT_EQ(log.deliveries[static_cast<std::size_t>(i)].second, i + 1)
+          << seed;
+    }
+    EXPECT_EQ(sender->stats().channels_abandoned, 0u) << seed;
+    // Through the cut only the oldest frame is probed, and the window
+    // follows the first ack after the heal instead of its own deadlines.
+    EXPECT_LT(sender->stats().retransmits, 80u) << seed;
+    EXPECT_LT(log.times.back(), 60.0) << seed;
+  }
+}
+
+TEST(ReliableChannel, ReplyInTheSameCallbackCarriesTheAck) {
+  // A peer that answers every message from on_message acks it with the
+  // reply's piggybacked cum_ack: no standalone ack on a clean network.
+  constexpr int kTagReply = 3;
+  constexpr int kFrames = 50;
+  class Echo final : public sim::Process {
+   public:
+    void on_start(sim::Context&) override {}
+    void on_message(sim::Context& ctx, const sim::Message& msg) override {
+      ctx.send(msg.from, kTagReply, std::any_cast<int>(*msg.payload));
+    }
+  };
+  Burst::Log log;
+  sim::Simulation sim(2, 3, std::make_unique<sim::UniformDelay>(0.1, 1.0),
+                      {});
+  sim.add_process(std::make_unique<ReliableChannel>(
+      std::make_unique<Burst>(&log, 1, kFrames), ReliableParams{}));
+  auto echo =
+      std::make_unique<ReliableChannel>(std::make_unique<Echo>(),
+                                        ReliableParams{});
+  const ReliableChannel* replier = echo.get();
+  sim.add_process(std::move(echo));
+  const auto rr = sim.run();
+  EXPECT_TRUE(rr.quiescent);
+  ASSERT_EQ(log.deliveries.size(), static_cast<std::size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(log.deliveries[static_cast<std::size_t>(i)].second, i + 1);
+  }
+  EXPECT_EQ(replier->stats().delivered, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(replier->stats().acks_sent, 0u);
+  EXPECT_EQ(replier->stats().retransmits, 0u);
 }
 
 TEST(ReliableChannel, SlotBroadcastRunsUnchangedOverLossyLinks) {

@@ -116,15 +116,13 @@ void BM_LinearCombinationL3d_Reference(benchmark::State& state) {
 BENCHMARK(BM_LinearCombinationL3d_Reference)->Arg(4)->Arg(8);
 
 void BM_EqualWeightCombinationMemoized(benchmark::State& state) {
-  // The steady-state round computation with interned operands: after the
-  // first L the handle multiset repeats, so each iteration is a cache hit
-  // (process_cc's fast path once states converge).
+  // The steady-state round computation: after the first L the operands'
+  // representations repeat, so each iteration is a memo hit (process_cc's
+  // fast path once states converge).
   const auto polys = round_polys(static_cast<std::size_t>(state.range(0)),
                                  2, 10);
-  std::vector<PolytopeHandle> handles;
-  for (const auto& p : polys) handles.push_back(intern(p));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(equal_weight_combination_interned(handles));
+    benchmark::DoNotOptimize(equal_weight_combination_memoized(polys));
   }
   clear_intern_caches();
 }

@@ -9,9 +9,11 @@
 // ratio (>= 2x on machines with >= 4 hardware threads — on fewer cores the
 // requirement degrades, recorded in the JSON via hardware_concurrency).
 //
-// Caches are cleared before every timed pass so each configuration pays
-// the same cold-intern cost; each pass runs twice and keeps the best
-// (machine-noise guard), mirroring google-benchmark's repetition policy.
+// Every timed pass starts with empty geometry memos (a fresh service has
+// fresh shard threads, and the caller's memos are cleared), so each
+// configuration pays the same cold-memo cost; each pass runs twice and
+// keeps the best (machine-noise guard), mirroring google-benchmark's
+// repetition policy.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>

@@ -131,7 +131,7 @@ void ByzCCProcess::advance(sim::Context& ctx) {
 }
 
 void ByzCCProcess::mark_state(sim::ProcessId j, std::uint32_t r,
-                              geo::PolytopeHandle h) {
+                              geo::Polytope h) {
   states_[r].emplace(j, std::move(h));
   order_[r].push_back(j);
 }
@@ -172,9 +172,9 @@ bool ByzCCProcess::try_verify(sim::ProcessId j, std::uint32_t r,
       if (vit == inputs_.end()) return false;  // await delivery (totality)
       values.push_back(vit->second);
     }
-    geo::PolytopeHandle gamma = geo::intersection_of_subset_hulls_interned(
+    geo::Polytope gamma = geo::intersection_of_subset_hulls_memoized(
         values, cfg_.round0_drop(), cfg_.rel_tol);
-    if (gamma->is_empty()) {
+    if (gamma.is_empty()) {
       // An honest process halts on an empty Γ and reports nothing; a claim
       // over a Γ-empty multiset is only ever Byzantine.
       invalid_.insert({j, r});
@@ -183,7 +183,7 @@ bool ByzCCProcess::try_verify(sim::ProcessId j, std::uint32_t r,
     mark_state(j, r, std::move(gamma));
     return true;
   }
-  std::vector<geo::PolytopeHandle> prev;
+  std::vector<geo::Polytope> prev;
   prev.reserve(ids.size());
   const auto& below = states_[r - 1];
   for (const sim::ProcessId id : ids) {
@@ -195,7 +195,7 @@ bool ByzCCProcess::try_verify(sim::ProcessId j, std::uint32_t r,
     if (pit == below.end()) return false;
     prev.push_back(pit->second);
   }
-  mark_state(j, r, geo::equal_weight_combination_interned(prev, cfg_.rel_tol));
+  mark_state(j, r, geo::equal_weight_combination_memoized(prev, cfg_.rel_tol));
   return true;
 }
 
@@ -223,9 +223,9 @@ bool ByzCCProcess::step_self(sim::Context& ctx) {
       values.push_back(v);
       view.emplace_back(id, v);
     }
-    geo::PolytopeHandle gamma = geo::intersection_of_subset_hulls_interned(
+    geo::Polytope gamma = geo::intersection_of_subset_hulls_memoized(
         values, cfg_.round0_drop(), cfg_.rel_tol);
-    if (gamma->is_empty()) {
+    if (gamma.is_empty()) {
       // Below the (d+2)f + 1 nonemptiness bound (arXiv 1302.2543): halt.
       round0_failed_ = true;
       if (trace_ != nullptr) {
@@ -234,7 +234,7 @@ bool ByzCCProcess::step_self(sim::Context& ctx) {
       return true;
     }
     h_ = std::move(gamma);
-    if (trace_ != nullptr) trace_->record_round0(self, view, *h_, ctx.now());
+    if (trace_ != nullptr) trace_->record_round0(self, view, h_, ctx.now());
     mark_state(self, 0, h_);
     broadcast_report(ctx, 1, x);
     round_ = 1;
@@ -267,19 +267,19 @@ bool ByzCCProcess::step_self(sim::Context& ctx) {
   }
   if (m.size() < quorum) return false;
   std::sort(m.begin(), m.end());
-  std::vector<geo::PolytopeHandle> prev;
+  std::vector<geo::Polytope> prev;
   prev.reserve(m.size());
   for (const sim::ProcessId id : m) prev.push_back(states_[prev_round][id]);
-  h_ = geo::equal_weight_combination_interned(prev, cfg_.rel_tol);
+  h_ = geo::equal_weight_combination_memoized(prev, cfg_.rel_tol);
   if (trace_ != nullptr) {
     trace_->record_round(self, round_,
-                         std::set<sim::ProcessId>(m.begin(), m.end()), *h_,
+                         std::set<sim::ProcessId>(m.begin(), m.end()), h_,
                          ctx.now());
   }
   mark_state(self, static_cast<std::uint32_t>(round_), h_);
   if (round_ == t_end_) {
     decided_ = true;
-    decision_ = *h_;
+    decision_ = h_;
     if (trace_ != nullptr) {
       trace_->record_decision(self, *decision_, round_, ctx.now());
     }

@@ -54,7 +54,7 @@
 
 #include "core/config.hpp"
 #include "core/trace.hpp"
-#include "geometry/intern.hpp"
+#include "geometry/polytope.hpp"
 #include "rbc/slotcast.hpp"
 #include "sim/process.hpp"
 
@@ -95,7 +95,7 @@ class ByzCCProcess final : public sim::Process {
   bool step_self(sim::Context& ctx);
   void broadcast_report(sim::Context& ctx, std::uint32_t slot,
                         const std::vector<sim::ProcessId>& ids);
-  void mark_state(sim::ProcessId j, std::uint32_t r, geo::PolytopeHandle h);
+  void mark_state(sim::ProcessId j, std::uint32_t r, geo::Polytope h);
 
   core::CCConfig cfg_;
   std::size_t t_end_;
@@ -109,7 +109,7 @@ class ByzCCProcess final : public sim::Process {
   std::set<sim::ProcessId> bad_inputs_;            ///< delivered, undecodable
   std::map<StateKey, std::vector<sim::ProcessId>> pending_;  ///< reports
   std::set<StateKey> invalid_;  ///< claims proven bogus (never verifiable)
-  std::map<std::uint32_t, std::map<sim::ProcessId, geo::PolytopeHandle>>
+  std::map<std::uint32_t, std::map<sim::ProcessId, geo::Polytope>>
       states_;  ///< verified states by round, then origin
   std::map<std::uint32_t, std::vector<sim::ProcessId>>
       order_;  ///< verification order per round (deterministic)
@@ -119,7 +119,7 @@ class ByzCCProcess final : public sim::Process {
   bool x_fixed_ = false;
   bool round0_failed_ = false;
   std::size_t round_ = 0;  ///< round currently being computed (1-based)
-  geo::PolytopeHandle h_;  ///< own latest state
+  geo::Polytope h_;  ///< own latest state
   bool decided_ = false;
   std::optional<geo::Polytope> decision_;
 };

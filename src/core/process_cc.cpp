@@ -51,10 +51,10 @@ void CCProcess::on_round0(sim::Context& ctx,
   // under the correct-inputs model nothing is dropped (plain hull). Γ
   // depends on the view alone, so processes sharing a view share one
   // computation (the per-thread Γ memo).
-  geo::PolytopeHandle h0 = geo::intersection_of_subset_hulls_interned(
+  geo::Polytope h0 = geo::intersection_of_subset_hulls_memoized(
       points, cfg_.round0_drop(), cfg_.rel_tol);
 
-  if (h0->is_empty()) {
+  if (h0.is_empty()) {
     // Only possible when n < (d+2)f + 1 (Lemma 2 guarantees non-emptiness
     // at or above the bound). The process cannot continue meaningfully.
     round0_failed_ = true;
@@ -66,7 +66,7 @@ void CCProcess::on_round0(sim::Context& ctx,
 
   h_ = std::move(h0);
   ++completed_rounds_;
-  if (trace_ != nullptr) trace_->record_round0(ctx.self(), view, *h_, ctx.now());
+  if (trace_ != nullptr) trace_->record_round0(ctx.self(), view, h_, ctx.now());
   enter_round(ctx, 1);
 }
 
@@ -98,27 +98,27 @@ void CCProcess::maybe_complete_round(sim::Context& ctx) {
     if (msgs.size() < cfg_.n - cfg_.f) return;  // line 12 threshold not met
 
     // Lines 13-14: Y_i[t] and the equal-weight linear combination L.
-    // Operands are interned handles, so identical message multisets across
-    // processes (the common case as states converge) hit the memo cache.
-    std::vector<geo::PolytopeHandle> y;
+    // Operands are the senders' own copies, so identical message multisets
+    // across processes (the common case as states converge) hit the memo.
+    std::vector<geo::Polytope> y;
     std::set<sim::ProcessId> senders;
     y.reserve(msgs.size());
     for (const auto& [from, poly] : msgs) {
       y.push_back(poly);
       senders.insert(from);
     }
-    h_ = geo::equal_weight_combination_interned(y, cfg_.rel_tol);
+    h_ = geo::equal_weight_combination_memoized(y, cfg_.rel_tol);
     ++completed_rounds_;
     if (trace_ != nullptr) {
       trace_->record_round(ctx.self(), current_round_, std::move(senders),
-                           *h_, ctx.now());
+                           h_, ctx.now());
     }
     inbox_.erase(current_round_);
 
     if (current_round_ >= t_end_) {  // line 15 / termination
-      decision_ = *h_;
+      decision_ = h_;
       if (trace_ != nullptr) {
-        trace_->record_decision(ctx.self(), *h_, current_round_, ctx.now());
+        trace_->record_decision(ctx.self(), h_, current_round_, ctx.now());
       }
       inbox_.clear();  // late messages are dropped on arrival from here on
       return;

@@ -18,7 +18,6 @@
 #include "core/config.hpp"
 #include "core/trace.hpp"
 #include "dsm/stable_vector.hpp"
-#include "geometry/intern.hpp"
 #include "geometry/polytope.hpp"
 #include "sim/process.hpp"
 
@@ -32,10 +31,7 @@ inline constexpr int kTagNaiveInput = 201;
 
 struct RoundMsg {
   std::size_t round;
-  // Interned handle: broadcast_others copies the payload per recipient, and
-  // with interning that is a pointer copy instead of a deep polytope copy
-  // (vertex + halfspace arrays) for each of the n-1 peers.
-  geo::PolytopeHandle h;
+  geo::Polytope h;  // h_i[round - 1]; receivers share the sender's copy
 };
 
 class CCProcess final : public sim::Process {
@@ -91,7 +87,7 @@ class CCProcess final : public sim::Process {
   TraceCollector* trace_;
 
   std::unique_ptr<dsm::StableVector> sv_;
-  geo::PolytopeHandle h_;  // current state h_i[current_round_ - 1], interned
+  geo::Polytope h_;  // current state h_i[current_round_ - 1]
   std::size_t completed_rounds_ = 0;
   std::size_t current_round_ = 0;  // round being executed
   bool round0_done_ = false;
@@ -99,11 +95,11 @@ class CCProcess final : public sim::Process {
   bool allow_sender_restart_ = false;
   std::optional<geo::Polytope> decision_;
 
-  // Buffered round messages: round -> (sender -> interned polytope). FIFO
+  // Buffered round messages: round -> (sender -> state). FIFO
   // channels and the round structure mean at most one message per sender
   // per round. Only rounds >= current_round_ live here: stale messages are
   // dropped on arrival and the buffer is cleared on decision.
-  std::map<std::size_t, std::map<sim::ProcessId, geo::PolytopeHandle>> inbox_;
+  std::map<std::size_t, std::map<sim::ProcessId, geo::Polytope>> inbox_;
 
   // Naive round-0 ablation: inputs received so far.
   std::map<sim::ProcessId, geo::Vec> naive_inbox_;

@@ -1,53 +1,32 @@
-// Polytope interning and memoized round combination.
+// Per-thread memos of the two computations Algorithm CC repeats.
 //
-// Algorithm CC broadcasts its round state to n-1 peers every round, and as
-// processes converge their states become literally identical polytopes.
-// Interning gives every distinct polytope value one immutable heap object
-// behind a shared_ptr, so
-//  * broadcast fan-out copies a pointer instead of deep-copying the vertex
-//    and halfspace arrays n-1 times, and
-//  * value identity becomes pointer identity, which makes the per-round
-//    equal-weight combination memoizable: once two processes hold the same
-//    message multiset (the common case from round 1 under full crash
-//    fault-load, see E1), the second L(Y) is a cache hit.
+// Processes that end round 0 with one view compute one Γ(X_i) (line 5),
+// and processes holding one message multiset compute one L (line 14). Each
+// computation has a memo: one unlocked table per thread (each svc shard
+// and NodeRuntime thread has its own), FIFO-bounded. The L memo keys on
+// the operands' shared representations (geo::Polytope copies share one,
+// so a round message and its sender's state are one key); the Γ memo keys
+// on the exact view bits. Both are semantically transparent — a hit
+// returns the polytope the missed call computed — so which thread's memo
+// served a call never changes results.
 //
-// Handles are shared_ptr<const Polytope>: safe to pass across runtime
-// threads (the pointee is immutable) and to stash in std::any payloads.
-// The intern table is process-wide and mutex-guarded. It holds weak
-// references only — dropping every handle frees the polytope — and keeps
-// at most kInternTableCapacity entries, evicting the least-recently-interned
-// value (live handles stay valid; the value merely stops being dedupable),
-// so a long multi-instance run cannot grow the table monotonically.
-//
-// Memoized combinations live in one unlocked table per thread: each svc
-// shard and NodeRuntime thread has its own, FIFO-bounded at
-// kComboMemoCapacity entries. The round-0 state Γ(X_i) (Algorithm CC
-// line 5) has a second such memo, keyed on the exact view: processes that
-// end round 0 with one view compute Γ once. Both memos are semantically
-// transparent — a hit returns exactly the polytope a fresh computation
-// would intern — so which thread's memo served a call never changes
-// results.
+// The header path and three of its names (InternStats, intern_stats,
+// clear_intern_caches) are kept only because perfbench/ includes them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "geometry/polytope.hpp"
 
 namespace chc::geo {
 
-using PolytopeHandle = std::shared_ptr<const Polytope>;
-
-/// The intern table's LRU entry bound.
-inline constexpr std::size_t kInternTableCapacity = 4096;
-
-/// Entries in each thread's combination memo. Each entry pins its operand
-/// handles and the combined output, so the memo's live footprint scales
-/// with capacity × round size. It earns its keep by deduplicating repeats
-/// of the SAME operand multiset — sibling processes and sibling instances
-/// of a shard working the same round — a window of a few dozen entries; an
+/// Entries in each thread's combination memo. Each entry pins its operands
+/// and the combined output, so the memo's live footprint scales with
+/// capacity × round size. It earns its keep by deduplicating repeats of
+/// the SAME operand multiset — sibling processes and sibling instances of
+/// a shard working the same round — a window of a few dozen entries; an
 /// oversized memo retains long-dead rounds whose only effect is to evict
 /// the round pipeline's working set from cache.
 inline constexpr std::size_t kComboMemoCapacity = 64;
@@ -57,34 +36,27 @@ inline constexpr std::size_t kComboMemoCapacity = 64;
 /// few dozen entries cover every view a thread is still working on.
 inline constexpr std::size_t kSubsetHullMemoCapacity = 32;
 
-/// Returns the canonical shared handle for `p`'s exact value (ambient
-/// dimension + bitwise-equal vertex list). Two interned polytopes are
-/// value-equal iff their handles are pointer-equal. Thread-safe.
-PolytopeHandle intern(Polytope p);
-
-/// Equal-weight L (Definition 2 with weights 1/k) over interned operands,
-/// memoized on the operand multiset: repeated calls on one thread with the
-/// same handles (in any order) return the same interned result without
-/// recomputing the Minkowski combination. A miss returns
-/// intern(equal_weight_combination(...)). When every handle is the same
-/// object, L(K, ..., K) = K and that handle is returned directly, with no
-/// memo lookup. Thread-safe.
-PolytopeHandle equal_weight_combination_interned(
-    const std::vector<PolytopeHandle>& polys, double rel_tol = 1e-9);
+/// Equal-weight L (Definition 2 with weights 1/k), memoized on the
+/// operands' representations: repeated calls on one thread with copies of
+/// the same polytopes (in any order) return a copy of the first result
+/// without recomputing the Minkowski combination. A miss returns
+/// equal_weight_combination(...), as the memo's copy when the memo already
+/// holds that value (same_vertices). When every operand has one value,
+/// L(K, ..., K) = K and the first operand is returned, with no memo lookup.
+Polytope equal_weight_combination_memoized(const std::vector<Polytope>& polys,
+                                           double rel_tol = 1e-9);
 
 /// intersection_of_subset_hulls (geometry/ops.hpp) memoized on the exact
 /// point list (coordinate bits, in order), `drop` and `rel_tol`: a repeat
-/// call on one thread returns the same handle without recomputing. A miss
-/// returns intern(intersection_of_subset_hulls(...)). An empty Γ comes back
-/// as a handle to the empty polytope. Thread-safe.
-PolytopeHandle intersection_of_subset_hulls_interned(
-    const std::vector<Vec>& points, std::size_t drop, double rel_tol = 1e-9);
+/// call on one thread returns a copy of the first result without
+/// recomputing. An empty Γ comes back as the empty polytope.
+Polytope intersection_of_subset_hulls_memoized(const std::vector<Vec>& points,
+                                               std::size_t drop,
+                                               double rel_tol = 1e-9);
 
-/// Counters for tests and benchmarks (process-wide totals, every thread).
+/// Memo counters for tests and benchmarks (process-wide totals, every
+/// thread).
 struct InternStats {
-  std::uint64_t intern_hits = 0;    ///< intern() found an existing object
-  std::uint64_t intern_misses = 0;  ///< intern() created a new object
-  std::uint64_t intern_evictions = 0;  ///< LRU victims dropped from the table
   std::uint64_t combo_hits = 0;     ///< memoized L reused a cached result
   std::uint64_t combo_misses = 0;   ///< memoized L computed from scratch
   std::uint64_t subset_hull_hits = 0;    ///< memoized Γ reused a result
@@ -97,13 +69,8 @@ struct InternStats {
 };
 InternStats intern_stats();
 
-/// Number of values currently registered in the intern table (expired
-/// entries are counted until pruned; never above kInternTableCapacity).
-std::size_t intern_table_size();
-
-/// Drops the intern table and the calling thread's combination and Γ memos
-/// (test isolation; live handles stay valid — other threads' memos are left
-/// alone) and resets the statistics counters.
+/// Clears the calling thread's combination and Γ memos (test isolation;
+/// other threads' memos are left alone) and resets the counters.
 void clear_intern_caches();
 
 }  // namespace chc::geo

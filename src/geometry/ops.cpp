@@ -369,7 +369,7 @@ Polytope linear_combination(const std::vector<Polytope>& polys,
   const std::size_t d = validate_combination(polys, weights);
 
   // λK ⊕ μK = (λ+μ)K for convex K: operands with identical vertex lists
-  // (same_vertices, the intern table's value identity) merge into one
+  // (same_vertices, exact value identity) merge into one
   // group whose weight is their sum, in first-occurrence order; zero
   // weights are dropped. One group left means L returns that operand.
   std::vector<std::size_t> rep;  // first operand of each group

@@ -70,7 +70,7 @@ Polytope equal_weight_combination(const std::vector<Polytope>& polys,
 /// May legitimately be empty when |points| < (d+1)·drop + 1 (Tverberg bound,
 /// Lemma 2) — callers below the resilience bound see that case. This is the
 /// raw kernel, with no memo: the processes call the memoized
-/// intersection_of_subset_hulls_interned (geometry/intern.hpp), while the
+/// intersection_of_subset_hulls_memoized (geometry/intern.hpp), while the
 /// checker's I_Z calls this one, so the oracle does not share the memo.
 Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
                                       std::size_t drop,

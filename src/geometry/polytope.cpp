@@ -71,9 +71,9 @@ std::vector<Vec> orthogonal_complement(const std::vector<Vec>& basis,
 }  // namespace
 
 Polytope Polytope::empty(std::size_t ambient_dim) {
-  Polytope p;
-  p.ambient_dim_ = ambient_dim;
-  return p;
+  auto r = std::make_shared<Rep>();
+  r->ambient_dim = ambient_dim;
+  return Polytope(std::move(r));
 }
 
 Polytope Polytope::box(const Vec& lo, const Vec& hi) {
@@ -95,15 +95,16 @@ Polytope Polytope::box(const Vec& lo, const Vec& hi) {
 Polytope Polytope::from_points(const std::vector<Vec>& points,
                                double rel_tol) {
   CHC_CHECK(!points.empty(), "hull of an empty point set; use Polytope::empty");
-  Polytope p;
-  p.ambient_dim_ = points[0].dim();
-  CHC_CHECK(p.ambient_dim_ >= 1, "points must have dimension >= 1");
+  const std::size_t d = points[0].dim();
+  CHC_CHECK(d >= 1, "points must have dimension >= 1");
   for (const Vec& q : points) {
-    CHC_CHECK(q.dim() == p.ambient_dim_, "all points must share a dimension");
+    CHC_CHECK(q.dim() == d, "all points must share a dimension");
   }
-  p.verts_ = points;
-  p.finalize(rel_tol);
-  return p;
+  auto r = std::make_shared<Rep>();
+  r->ambient_dim = d;
+  r->verts = points;
+  finalize(*r, rel_tol);
+  return Polytope(std::move(r));
 }
 
 Polytope Polytope::from_walk2d(const std::vector<Vec>& points,
@@ -197,22 +198,22 @@ Polytope Polytope::assemble_walk2d(std::vector<Vec> hull, double area) {
   // k == 2 branch of finalize(), minus rank detection and the ladder. The
   // H-rep is deferred: CC rounds consume only vertices, so facets are
   // built on the first halfspaces() call.
-  Polytope p;
-  p.ambient_dim_ = 2;
-  p.sub_ = AffineSubspace::canonical(2);
-  p.verts_ = std::move(hull);
-  // local_verts_ stays empty: the identity subspace makes it equal to
-  // verts_, so local_vertices() aliases instead of copying.
-  p.intrinsic_measure_ = area;
-  p.hrep_cell_ = std::make_shared<HrepCell>();
-  return p;
+  auto r = std::make_shared<Rep>();
+  r->ambient_dim = 2;
+  r->sub = AffineSubspace::canonical(2);
+  r->verts = std::move(hull);
+  // local_verts stays empty: the identity subspace makes it equal to
+  // verts, so local_vertices() aliases instead of copying.
+  r->measure = area;
+  r->hrep_deferred = true;
+  return Polytope(std::move(r));
 }
 
-void Polytope::finalize(double rel_tol) {
-  const std::size_t d = ambient_dim_;
+void Polytope::finalize(Rep& r, double rel_tol) {
+  const std::size_t d = r.ambient_dim;
 
   double scale = 1.0;
-  for (const Vec& v : verts_) scale = std::max(scale, v.max_abs());
+  for (const Vec& v : r.verts) scale = std::max(scale, v.max_abs());
 
   // Degeneracy ladder: if the hull at the detected affine rank collapses
   // (numerically thin set straddling the rank tolerance), re-detect the
@@ -226,22 +227,22 @@ void Polytope::finalize(double rel_tol) {
   double tol_factor = 1.0;
   for (int attempt = 0; attempt < 8 && !built; ++attempt, tol_factor *= 100) {
     const double eff_rel_tol = rel_tol * tol_factor;
-    sub_ = AffineSubspace::from_points(verts_, eff_rel_tol);
-    if (sub_.dim() == d) {
+    r.sub = AffineSubspace::from_points(r.verts, eff_rel_tol);
+    if (r.sub.dim() == d) {
       // Full-dimensional: identity subspace so local == ambient coordinates
       // (no basis rotation/reflection).
-      sub_ = AffineSubspace::canonical(d);
+      r.sub = AffineSubspace::canonical(d);
     }
-    k = sub_.dim();
+    k = r.sub.dim();
     local.clear();
-    local.reserve(verts_.size());
-    for (const Vec& v : verts_) local.push_back(sub_.project(v));
+    local.reserve(r.verts.size());
+    for (const Vec& v : r.verts) local.push_back(r.sub.project(v));
     local_hs.clear();
     const double tol = eff_rel_tol * scale;
 
     if (k == 0) {
-      local_verts_ = {Vec(0)};
-      intrinsic_measure_ = 0.0;
+      r.local_verts = {Vec(0)};
+      r.measure = 0.0;
       built = true;
     } else if (k == 1) {
       double lo = local[0][0], hi = local[0][0];
@@ -249,18 +250,18 @@ void Polytope::finalize(double rel_tol) {
         lo = std::min(lo, q[0]);
         hi = std::max(hi, q[0]);
       }
-      local_verts_ = {Vec{lo}, Vec{hi}};
+      r.local_verts = {Vec{lo}, Vec{hi}};
       local_hs.push_back({Vec{1.0}, hi});
       local_hs.push_back({Vec{-1.0}, -lo});
-      intrinsic_measure_ = hi - lo;
+      r.measure = hi - lo;
       built = true;
     } else if (k == 2) {
-      local_verts_ = hull2d(local, tol);
-      if (local_verts_.size() < 3) continue;  // thinner than the rank says
-      intrinsic_measure_ = polygon_area(local_verts_);
-      for (std::size_t i = 0; i < local_verts_.size(); ++i) {
-        const Vec& a = local_verts_[i];
-        const Vec& b = local_verts_[(i + 1) % local_verts_.size()];
+      r.local_verts = hull2d(local, tol);
+      if (r.local_verts.size() < 3) continue;  // thinner than the rank says
+      r.measure = polygon_area(r.local_verts);
+      for (std::size_t i = 0; i < r.local_verts.size(); ++i) {
+        const Vec& a = r.local_verts[i];
+        const Vec& b = r.local_verts[(i + 1) % r.local_verts.size()];
         // Outward normal of a CCW edge: rotate the edge direction by -90°.
         Vec n{b[1] - a[1], a[0] - b[0]};
         const double len = n.norm();
@@ -276,14 +277,14 @@ void Polytope::finalize(double rel_tol) {
       } catch (const ContractViolation&) {
         continue;  // did not span at quickhull's tolerance: demote
       }
-      local_verts_ = hull.vertices;
+      r.local_verts = hull.vertices;
       for (const auto& f : hull.facets) {
         local_hs.push_back({f.normal, f.offset});
       }
       // Intrinsic measure: fan of simplices from the vertex centroid.
       Vec c(k, 0.0);
-      for (const Vec& v : local_verts_) c += v;
-      c *= 1.0 / static_cast<double>(local_verts_.size());
+      for (const Vec& v : r.local_verts) c += v;
+      c *= 1.0 / static_cast<double>(r.local_verts.size());
       double vol = 0.0;
       for (const auto& f : hull.facets) {
         std::vector<Vec> cols;
@@ -291,61 +292,63 @@ void Polytope::finalize(double rel_tol) {
         for (std::size_t vi : f.verts) cols.push_back(hull.vertices[vi] - c);
         vol += std::fabs(det(std::move(cols)));
       }
-      intrinsic_measure_ = vol / factorial(k);
+      r.measure = vol / factorial(k);
       built = true;
     }
   }
   CHC_INTERNAL(built, "degeneracy ladder failed to build a hull");
-  if (k == 0) verts_ = {sub_.origin()};
+  if (k == 0) r.verts = {r.sub.origin()};
 
   // Lift vertices back to ambient space (preserving local ordering, so 2-D
   // affine polytopes keep CCW order).
   if (k >= 1) {
-    verts_.clear();
-    verts_.reserve(local_verts_.size());
-    for (const Vec& lv : local_verts_) verts_.push_back(sub_.lift(lv));
+    r.verts.clear();
+    r.verts.reserve(r.local_verts.size());
+    for (const Vec& lv : r.local_verts) r.verts.push_back(r.sub.lift(lv));
   }
 
-  build_hrep(local_hs);
+  build_hrep(r, local_hs);
 }
 
 // Ambient H-representation: lift local facets, then pin the affine hull
 // with an equality pair per complement direction.
-void Polytope::build_hrep(const std::vector<Halfspace>& local_hs) {
-  const std::size_t d = ambient_dim_;
-  const std::size_t k = sub_.dim();
-  hrep_.clear();
+void Polytope::build_hrep(Rep& r, const std::vector<Halfspace>& local_hs) {
+  const std::size_t d = r.ambient_dim;
+  const std::size_t k = r.sub.dim();
+  r.hrep.clear();
   for (const Halfspace& hs : local_hs) {
     Vec a(d, 0.0);
     for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < d; ++j) a[j] += hs.a[i] * sub_.basis()[i][j];
+      for (std::size_t j = 0; j < d; ++j) a[j] += hs.a[i] * r.sub.basis()[i][j];
     }
-    hrep_.push_back({a, hs.b + a.dot(sub_.origin())});
+    r.hrep.push_back({a, hs.b + a.dot(r.sub.origin())});
   }
-  for (const Vec& n : orthogonal_complement(sub_.basis(), d)) {
-    const double off = n.dot(sub_.origin());
-    hrep_.push_back({n, off});
-    hrep_.push_back({n * -1.0, -off});
+  for (const Vec& n : orthogonal_complement(r.sub.basis(), d)) {
+    const double off = n.dot(r.sub.origin());
+    r.hrep.push_back({n, off});
+    r.hrep.push_back({n * -1.0, -off});
   }
 }
 
 std::size_t Polytope::affine_dim() const {
   CHC_CHECK(!is_empty(), "affine dimension of the empty polytope");
-  return sub_.dim();
+  return rep().sub.dim();
 }
 
 const std::vector<Halfspace>& Polytope::halfspaces() const {
   CHC_CHECK(!is_empty(), "H-representation of the empty polytope");
-  if (hrep_cell_ != nullptr) {
+  const Rep& r = rep();
+  if (r.hrep_deferred) {
     // Deferred walk-built polytope: derive the facets from the CCW vertex
     // loop on first use — the same loop (and therefore the same bits) the
     // eager k == 2 finalize branch runs.
-    std::call_once(hrep_cell_->once, [this] {
+    std::call_once(r.hrep_once, [&r] {
+      const std::vector<Vec>& verts = r.verts;
       std::vector<Halfspace> hs;
-      hs.reserve(verts_.size());
-      for (std::size_t i = 0; i < verts_.size(); ++i) {
-        const Vec& a = verts_[i];
-        const Vec& b = verts_[(i + 1) % verts_.size()];
+      hs.reserve(verts.size());
+      for (std::size_t i = 0; i < verts.size(); ++i) {
+        const Vec& a = verts[i];
+        const Vec& b = verts[(i + 1) % verts.size()];
         // Outward normal of a CCW edge: rotate the edge direction by -90°.
         Vec n{b[1] - a[1], a[0] - b[0]};
         const double len = n.norm();
@@ -353,22 +356,22 @@ const std::vector<Halfspace>& Polytope::halfspaces() const {
         n *= 1.0 / len;
         hs.push_back({n, n.dot(a)});
       }
-      hrep_cell_->hs = std::move(hs);
+      r.hrep = std::move(hs);
     });
-    return hrep_cell_->hs;
   }
-  return hrep_;
+  return r.hrep;
 }
 
 Vec Polytope::nearest_point(const Vec& p) const {
   CHC_CHECK(!is_empty(), "nearest point of the empty polytope");
-  CHC_CHECK(p.dim() == ambient_dim_, "query point dimension mismatch");
-  if (verts_.size() == 1) return verts_[0];
+  const Rep& r = rep();
+  CHC_CHECK(p.dim() == r.ambient_dim, "query point dimension mismatch");
+  if (r.verts.size() == 1) return r.verts[0];
 
-  const std::size_t k = sub_.dim();
-  const Vec local_p = sub_.project(p);
+  const std::size_t k = r.sub.dim();
+  const Vec local_p = r.sub.project(p);
   Vec local_best(k, 0.0);
-  const std::vector<Vec>& lv = local_vertices();
+  const std::vector<Vec>& lv = r.local_vertices();
   if (k == 1) {
     local_best[0] = std::clamp(local_p[0], lv[0][0], lv[1][0]);
   } else if (k == 2) {
@@ -376,7 +379,7 @@ Vec Polytope::nearest_point(const Vec& p) const {
   } else {
     local_best = nearest_point_in_hull(lv, local_p);
   }
-  return sub_.lift(local_best);
+  return r.sub.lift(local_best);
 }
 
 double Polytope::distance(const Vec& p) const {
@@ -385,13 +388,30 @@ double Polytope::distance(const Vec& p) const {
 
 bool Polytope::contains(const Vec& p, double tol) const {
   if (is_empty()) return false;
-  return distance(p) <= tol;
+  // A nearest-point search returns a point of the polytope, so its
+  // distance never undercounts: at or below `tol` settles containment.
+  if (distance(p) <= tol) return true;
+  const Rep& r = rep();
+  if (r.sub.dim() < 3) return false;  // exact paths
+  // Wolfe's default stop resolves distance only to about 1e-6·scale, the
+  // size of a typical `tol`. Search again to a duality gap under
+  // 1e-3·tol²: the distance error is at most the gap over the distance,
+  // so beyond `tol` it stays under tol/1000. Wolfe scales its tolerance by
+  // s2. (The facets cannot settle it: a near-duplicate vertex pair can
+  // give quickhull a sliver facet that cuts through the hull.)
+  const Vec local_p = r.sub.project(p);
+  const std::vector<Vec>& lv = r.local_vertices();
+  double s2 = 1.0;
+  for (const Vec& v : lv) s2 = std::max(s2, (v - local_p).norm2());
+  const Vec local_best =
+      nearest_point_in_hull(lv, local_p, 1e-3 * tol * tol / s2);
+  return r.sub.lift(local_best).dist(p) <= tol;
 }
 
 bool Polytope::contains(const Polytope& other, double tol) const {
   if (other.is_empty()) return true;
   if (is_empty()) return false;
-  for (const Vec& v : other.verts_) {
+  for (const Vec& v : other.vertices()) {
     if (!contains(v, tol)) return false;
   }
   return true;
@@ -399,40 +419,42 @@ bool Polytope::contains(const Polytope& other, double tol) const {
 
 const Vec& Polytope::support(const Vec& dir) const {
   CHC_CHECK(!is_empty(), "support of the empty polytope");
+  const std::vector<Vec>& verts = vertices();
   std::size_t best = 0;
-  double best_val = dir.dot(verts_[0]);
-  for (std::size_t i = 1; i < verts_.size(); ++i) {
-    const double v = dir.dot(verts_[i]);
+  double best_val = dir.dot(verts[0]);
+  for (std::size_t i = 1; i < verts.size(); ++i) {
+    const double v = dir.dot(verts[i]);
     if (v > best_val) {
       best_val = v;
       best = i;
     }
   }
-  return verts_[best];
+  return verts[best];
 }
 
 Vec Polytope::vertex_centroid() const {
   CHC_CHECK(!is_empty(), "centroid of the empty polytope");
-  Vec c(ambient_dim_, 0.0);
-  for (const Vec& v : verts_) c += v;
-  return c * (1.0 / static_cast<double>(verts_.size()));
+  Vec c(ambient_dim(), 0.0);
+  for (const Vec& v : vertices()) c += v;
+  return c * (1.0 / static_cast<double>(vertices().size()));
 }
 
 double Polytope::measure() const {
   CHC_CHECK(!is_empty(), "measure of the empty polytope");
-  return intrinsic_measure_;
+  return rep().measure;
 }
 
 double Polytope::volume() const {
   CHC_CHECK(!is_empty(), "volume of the empty polytope");
-  return (sub_.dim() == ambient_dim_) ? intrinsic_measure_ : 0.0;
+  const Rep& r = rep();
+  return (r.sub.dim() == r.ambient_dim) ? r.measure : 0.0;
 }
 
 std::pair<Vec, Vec> Polytope::bounding_box() const {
   CHC_CHECK(!is_empty(), "bounding box of the empty polytope");
-  Vec lo = verts_[0], hi = verts_[0];
-  for (const Vec& v : verts_) {
-    for (std::size_t i = 0; i < ambient_dim_; ++i) {
+  Vec lo = vertices()[0], hi = vertices()[0];
+  for (const Vec& v : vertices()) {
+    for (std::size_t i = 0; i < ambient_dim(); ++i) {
       lo[i] = std::min(lo[i], v[i]);
       hi[i] = std::max(hi[i], v[i]);
     }
@@ -441,19 +463,19 @@ std::pair<Vec, Vec> Polytope::bounding_box() const {
 }
 
 Polytope Polytope::translated(const Vec& t) const {
-  CHC_CHECK(t.dim() == ambient_dim_, "translation dimension mismatch");
+  CHC_CHECK(t.dim() == ambient_dim(), "translation dimension mismatch");
   if (is_empty()) return *this;
   std::vector<Vec> moved;
-  moved.reserve(verts_.size());
-  for (const Vec& v : verts_) moved.push_back(v + t);
+  moved.reserve(vertices().size());
+  for (const Vec& v : vertices()) moved.push_back(v + t);
   return from_points(moved);
 }
 
 Polytope Polytope::scaled(double s) const {
   if (is_empty()) return *this;
   std::vector<Vec> scaled_pts;
-  scaled_pts.reserve(verts_.size());
-  for (const Vec& v : verts_) scaled_pts.push_back(v * s);
+  scaled_pts.reserve(vertices().size());
+  for (const Vec& v : vertices()) scaled_pts.push_back(v * s);
   return from_points(scaled_pts);
 }
 
@@ -468,6 +490,7 @@ std::ostream& operator<<(std::ostream& os, const Polytope& p) {
 }
 
 bool same_vertices(const Polytope& a, const Polytope& b) {
+  if (&a.vertices() == &b.vertices()) return true;  // one representation
   if (a.ambient_dim() != b.ambient_dim()) return false;
   return a.vertices() == b.vertices();
 }

@@ -11,6 +11,11 @@
 // inequalities inside the affine hull, lifted to ambient space, plus an
 // equality pair per direction orthogonal to the affine hull. This is what
 // the hull-intersection step of Algorithm CC (line 5) consumes.
+//
+// A Polytope is an immutable value. Copies share one representation, so
+// copying one — a round message to n−1 peers, a trace record, a decision —
+// bumps a reference count instead of copying vertex and facet arrays.
+// Copies may be read on several threads at once.
 #pragma once
 
 #include <cstddef>
@@ -59,16 +64,18 @@ class Polytope {
   /// Axis-aligned box [lo, hi] (for workloads and clipping).
   static Polytope box(const Vec& lo, const Vec& hi);
 
-  Polytope() = default;  // empty in dimension 0; prefer the factories
+  /// The empty polytope in dimension 0, as is a moved-from polytope;
+  /// prefer the factories.
+  Polytope() = default;
 
-  bool is_empty() const { return verts_.empty(); }
-  std::size_t ambient_dim() const { return ambient_dim_; }
+  bool is_empty() const { return rep().verts.empty(); }
+  std::size_t ambient_dim() const { return rep().ambient_dim; }
   /// Intrinsic (affine-hull) dimension; requires a non-empty polytope.
   std::size_t affine_dim() const;
 
   /// Minimal vertex set. For 2-D-affine polytopes the order is CCW within
-  /// the affine hull.
-  const std::vector<Vec>& vertices() const { return verts_; }
+  /// the affine hull. Copies of one polytope return the same vector.
+  const std::vector<Vec>& vertices() const { return rep().verts; }
 
   /// Ambient H-representation (facets plus equality pairs for flats).
   /// Requires a non-empty polytope.
@@ -82,6 +89,9 @@ class Polytope {
   double distance(const Vec& p) const;
 
   /// True when `p` is within `tol` of the polytope (empty contains nothing).
+  /// Decided to well below `tol` at every dimension: for affine dimension
+  /// >= 3, a point distance() puts beyond `tol` gets a second nearest-point
+  /// search, fine enough for `tol`.
   bool contains(const Vec& p, double tol = 1e-7) const;
 
   /// True when every vertex of `other` is within `tol` of this polytope.
@@ -111,44 +121,56 @@ class Polytope {
   Polytope scaled(double s) const;  ///< scales about the origin
 
  private:
-  /// Deferred H-rep for walk-built full-dimensional 2-D polytopes: the CC
-  /// round pipeline consumes only vertices, so facet construction waits for
-  /// the first halfspaces() call. The cell is shared by copies (one build
-  /// serves all) and call_once makes concurrent first readers safe; the
-  /// built facets are bit-identical to the eager construction's.
-  struct HrepCell {
-    std::once_flag once;
-    std::vector<Halfspace> hs;
+  /// The one representation every copy shares. A factory builds it in place
+  /// and it never changes afterwards, with one exception: a walk-built
+  /// full-dimensional 2-D polygon derives its facets on the first
+  /// halfspaces() call (CC rounds consume only vertices), under `hrep_once`,
+  /// so concurrent first readers are safe and one build serves every copy.
+  /// The deferred facets are bit-identical to the eager construction's.
+  struct Rep {
+    std::size_t ambient_dim = 0;
+    std::vector<Vec> verts;  // canonical minimal vertices (ambient)
+    AffineSubspace sub = AffineSubspace::canonical(0);  // set by the factory
+    std::vector<Vec> local_verts;  // verts projected into sub; empty when sub
+                                   // is the identity (walk-built) — use
+                                   // local_vertices()
+    double measure = 0.0;
+    bool hrep_deferred = false;
+    mutable std::once_flag hrep_once;      // guards hrep when deferred
+    mutable std::vector<Halfspace> hrep;   // ambient H-rep
+
+    /// Vertices in subspace coordinates; identical to verts (and not
+    /// stored twice) for identity-subspace polytopes.
+    const std::vector<Vec>& local_vertices() const {
+      return local_verts.empty() ? verts : local_verts;
+    }
   };
 
-  std::size_t ambient_dim_ = 0;
-  std::vector<Vec> verts_;            // canonical minimal vertices (ambient)
-  AffineSubspace sub_ = AffineSubspace::from_points({Vec{0.0}});  // placeholder
-  std::vector<Vec> local_verts_;      // verts_ projected into sub_; may be
-                                      // empty when sub_ is the identity
-                                      // (walk-built) — use local_vertices()
-  std::vector<Halfspace> hrep_;       // ambient H-rep (empty when deferred)
-  std::shared_ptr<HrepCell> hrep_cell_;  // non-null iff H-rep is deferred
-  double intrinsic_measure_ = 0.0;
+  explicit Polytope(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
 
-  /// Vertices in subspace coordinates; identical to verts_ (and not stored
-  /// twice) for identity-subspace polytopes.
-  const std::vector<Vec>& local_vertices() const {
-    return local_verts_.empty() ? verts_ : local_verts_;
+  /// The shared representation; a null rep_ reads as the empty polytope in
+  /// dimension 0.
+  const Rep& rep() const {
+    if (rep_ != nullptr) return *rep_;
+    static const Rep kEmpty;
+    return kEmpty;
   }
-  void finalize(double rel_tol);      // fills sub_/local_verts_/hrep_/measure
-  void build_hrep(const std::vector<Halfspace>& local_hs);  // lift to ambient
+
+  static void finalize(Rep& r, double rel_tol);  // fills sub/local/hrep/measure
+  static void build_hrep(Rep& r, const std::vector<Halfspace>& local_hs);
   /// Full-dimensional 2-D assembly from a canonical CCW hull: identity
   /// subspace, deferred H-rep.
   static Polytope assemble_walk2d(std::vector<Vec> hull, double area);
+
+  std::shared_ptr<const Rep> rep_;
 };
 
 std::ostream& operator<<(std::ostream& os, const Polytope& p);
 
 /// Exact value identity: same ambient dimension and an equal vertex list,
 /// coordinate for coordinate. Canonical construction makes this the same
-/// point set, so it is the intern table's notion of "one value" and L's
-/// notion of identical operands.
+/// point set, so it is L's notion of identical operands. Copies of one
+/// polytope answer true at once, without comparing vertices.
 bool same_vertices(const Polytope& a, const Polytope& b);
 
 /// Hausdorff distance d_H (paper eq. 1) between two non-empty polytopes.

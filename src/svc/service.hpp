@@ -12,12 +12,12 @@
 // single-instance path (core::run_cc_lossy_custom) with its own seeded
 // Simulation, its own Tracer and its own trace stream, so its decision
 // polytopes and its JSONL trace are bit-identical to running that instance
-// alone — at any shard count, under any cross-instance interleaving. The
-// only geometry state shared across instances is deliberately
-// value-transparent: the process-global polytope intern table (bounded
-// LRU). Each shard worker, like every thread, has its own unlocked
-// combination memo (geometry/intern.hpp); memo hits return interned values
-// a fresh computation would produce, so results cannot differ. The
+// alone — at any shard count, under any cross-instance interleaving. No
+// geometry object is shared between shards: each shard worker, like every
+// thread, has its own unlocked combination and Γ memos
+// (geometry/intern.hpp), and a polytope a shard computes reaches another
+// thread only as a copy in the results it hands to the caller. Memo hits
+// return the value the missed call computed, so results cannot differ. The
 // differential suite in tests/svc enforces all of this bit-for-bit.
 //
 // Backpressure: per-shard queues are bounded (ServiceConfig::queue_capacity).

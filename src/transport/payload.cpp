@@ -4,7 +4,6 @@
 
 #include "core/process_cc.hpp"
 #include "dsm/store.hpp"
-#include "geometry/intern.hpp"
 #include "rbc/slotcast.hpp"
 
 namespace chc::transport {
@@ -82,8 +81,8 @@ std::optional<codec::Buffer> encode_payload(int tag,
     }
     case core::kTagRound: {
       const auto* m = std::any_cast<core::RoundMsg>(&payload);
-      if (m == nullptr || m->h == nullptr) return std::nullopt;
-      return with_u64_prefix(m->round, codec::encode(*m->h));
+      if (m == nullptr) return std::nullopt;
+      return with_u64_prefix(m->round, codec::encode(m->h));
     }
     case core::kTagNaiveInput: {
       const auto* v = std::any_cast<geo::Vec>(&payload);
@@ -148,7 +147,7 @@ std::optional<std::any> decode_payload(int tag, const codec::Buffer& buf) {
       auto poly = codec::decode_polytope(rest);
       if (!poly) return std::nullopt;
       return std::any(core::RoundMsg{static_cast<std::size_t>(*round),
-                                     geo::intern(std::move(*poly))});
+                                     std::move(*poly)});
     }
     case core::kTagNaiveInput: {
       auto vec = codec::decode_vec(buf);

@@ -11,7 +11,7 @@
 //   tag 103 dsm::ViewMsg       [u64 op][view]
 //   tag 104 dsm::ViewMsg       [u64 op][view]
 //   tag 105 dsm::AckMsg        [u64 op]
-//   tag 200 core::RoundMsg     [u64 round][polytope]  (re-interned on decode)
+//   tag 200 core::RoundMsg     [u64 round][polytope]
 //   tag 201 geo::Vec           [vec]                  (naive round-0 ablation)
 //   tag 410 rbc::SlotMsg       [u64 origin][u32 slot][u32 len][len bytes]
 //   tag 411 rbc::SlotMsg       (same; Byzantine-track slot broadcast ECHO)

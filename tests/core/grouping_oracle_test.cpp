@@ -4,7 +4,7 @@
 //    matrices (Theorem 1) applied to the recorded h0 through
 //    geo::linear_combination_pairwise, which sums every operand in turn;
 //  * Γ(X_i) is computed once per distinct round-0 view (the per-thread
-//    memo behind geo::intersection_of_subset_hulls_interned).
+//    memo behind geo::intersection_of_subset_hulls_memoized).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -175,6 +175,46 @@ TEST(GammaPerView, MissesEqualDistinctRound0Views) {
     EXPECT_EQ(s.subset_hull_hits + s.subset_hull_misses, calls);
   }
   geo::clear_intern_caches();
+}
+
+TEST(SharedStates, OneViewRunSharesOneRepresentationPerRound) {
+  // Every process ends round 0 with one view, so every state of the run is
+  // one value; the processes, their messages and the trace must hold
+  // copies of one polytope, not deep copies of it.
+  LossyRunConfig lc;
+  lc.base.cc = CCConfig{.n = 8, .f = 1, .d = 3, .eps = 0.15};
+  lc.base.seed = 1;
+  lc.base.delay = DelayRegime::kUniform;
+  lc.reliable = false;  // reliable links, no shim
+  const LossyRunOutput out = run_cc_lossy(lc);
+  ASSERT_TRUE(out.cert.all_decided);
+  const TraceCollector& tr = *out.trace;
+
+  std::optional<dsm::StableVectorResult> view;
+  for (sim::ProcessId p = 0; p < tr.n(); ++p) {
+    const auto& v = tr.of(p).round0_view;
+    if (!v) continue;
+    if (!view) view = v;
+    ASSERT_TRUE(same_points(*v, *view)) << "precondition: one view, p=" << p;
+  }
+  ASSERT_TRUE(view.has_value());
+
+  for (std::size_t t = 1; t <= tr.max_round(); ++t) {
+    SCOPED_TRACE(t);
+    const std::vector<geo::Vec>* shared = nullptr;
+    for (sim::ProcessId p = 0; p < tr.n(); ++p) {
+      const auto it = tr.of(p).h.find(t);
+      if (it == tr.of(p).h.end()) continue;
+      if (shared == nullptr) shared = &it->second.vertices();
+      EXPECT_EQ(&it->second.vertices(), shared) << "p=" << p;
+    }
+  }
+  for (sim::ProcessId p : tr.decided()) {
+    const ProcessTrace& pt = tr.of(p);
+    ASSERT_FALSE(pt.h.empty());
+    EXPECT_EQ(&pt.decision->vertices(), &pt.h.rbegin()->second.vertices())
+        << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "core/process_cc.hpp"
-#include "geometry/intern.hpp"
 #include "geometry/polytope.hpp"
 #include "sim/process.hpp"
 
@@ -68,8 +67,7 @@ void deliver_input(CCProcess& p, MockContext& ctx, sim::ProcessId from,
 void deliver_round(CCProcess& p, MockContext& ctx, sim::ProcessId from,
                    std::size_t round, double lo, double hi) {
   RoundMsg rm{round,
-              geo::intern(geo::Polytope::from_points({geo::Vec{lo},
-                                                      geo::Vec{hi}}))};
+              geo::Polytope::from_points({geo::Vec{lo}, geo::Vec{hi}})};
   sim::Message m{from, ctx.self(), kTagRound, sim::make_payload(rm)};
   p.on_message(ctx, m);
 }

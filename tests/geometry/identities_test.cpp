@@ -80,7 +80,6 @@ TEST(LGrouping, CopiesOfOneOperandReturnItBitForBit) {
   for (std::size_t d : {1u, 2u, 3u}) {
     Rng rng(17000 + d);
     for (const Polytope& k_op : shapes(d, rng)) {
-      const PolytopeHandle handle = intern(k_op);
       for (std::size_t k = 1; k <= 8; ++k) {
         SCOPED_TRACE(::testing::Message()
                      << "d=" << d << " verts=" << k_op.vertices().size()
@@ -93,9 +92,8 @@ TEST(LGrouping, CopiesOfOneOperandReturnItBitForBit) {
         const std::vector<Polytope> copies(k, k_op);
         expect_same_vertex_bits(linear_combination(copies, w), k_op);
         expect_same_vertex_bits(equal_weight_combination(copies), k_op);
-        const std::vector<PolytopeHandle> handles(k, handle);
-        EXPECT_EQ(equal_weight_combination_interned(handles).get(),
-                  handle.get());
+        EXPECT_EQ(&equal_weight_combination_memoized(copies).vertices(),
+                  &k_op.vertices());
       }
     }
   }
@@ -156,11 +154,12 @@ TEST(LGrouping, InternedMemoEqualsKernelWithRepeats) {
     SCOPED_TRACE(d);
     clear_intern_caches();
     Rng rng(17400 + d);
-    const PolytopeHandle a = intern(Polytope::from_points(cloud(rng, 6, d)));
-    const PolytopeHandle b = intern(Polytope::from_points(cloud(rng, 6, d)));
-    const PolytopeHandle r = equal_weight_combination_interned({a, b, a});
-    expect_same_vertex_bits(*r, equal_weight_combination({*a, *b, *a}));
-    EXPECT_EQ(equal_weight_combination_interned({a, a, b}).get(), r.get());
+    const Polytope a = Polytope::from_points(cloud(rng, 6, d));
+    const Polytope b = Polytope::from_points(cloud(rng, 6, d));
+    const Polytope r = equal_weight_combination_memoized({a, b, a});
+    expect_same_vertex_bits(r, equal_weight_combination({a, b, a}));
+    EXPECT_EQ(&equal_weight_combination_memoized({a, a, b}).vertices(),
+              &r.vertices());
   }
   clear_intern_caches();
 }

@@ -1,14 +1,13 @@
-// Intern table bounding and the per-thread combination memo.
+// The per-thread combination and Γ memos.
 //
-// The intern table is LRU-bounded at kInternTableCapacity so a long
-// multi-instance run cannot grow it monotonically; these tests pin the
-// bound, the LRU order and handle stability across eviction. The
-// combination memo is one FIFO table of kComboMemoCapacity entries per
-// thread; these tests pin that each thread misses on its own memo, that
-// the memo is value-transparent across threads, and its bound. The Γ
-// memo (intersection_of_subset_hulls_interned) is the same idiom keyed on
-// the exact point list; these tests pin that it is the raw kernel bit for
-// bit, that exact repeats hit and one-ulp changes miss, and that
+// The combination memo is one FIFO table of kComboMemoCapacity entries per
+// thread, keyed on the operands' representations; these tests pin that
+// each thread misses on its own memo, that the memo is value-transparent
+// across threads, its bound, and that a miss on a value the memo holds
+// returns the memo's copy. The Γ memo
+// (intersection_of_subset_hulls_memoized) is the same idiom keyed on the
+// exact point list; these tests pin that it is the raw kernel bit for bit,
+// that exact repeats hit and one-ulp changes miss, and that
 // clear_intern_caches() empties it.
 #include "geometry/intern.hpp"
 
@@ -39,94 +38,81 @@ class InternTest : public ::testing::Test {
   void TearDown() override { clear_intern_caches(); }
 };
 
-TEST_F(InternTest, TableSizeIsBoundedUnderLongRuns) {
-  constexpr std::size_t kValues = kInternTableCapacity + 200;
-  std::vector<PolytopeHandle> live;  // keep every handle alive: worst case
-  for (std::size_t i = 0; i < kValues; ++i) {
-    live.push_back(intern(segment(static_cast<double>(i))));
-    ASSERT_LE(intern_table_size(), kInternTableCapacity)
-        << "after intern #" << i;
-  }
-  const InternStats s = intern_stats();
-  EXPECT_EQ(s.intern_misses, kValues);
-  EXPECT_EQ(s.intern_evictions, 200u);
-  // Live handles are untouched by eviction.
-  for (std::size_t i = 0; i < kValues; ++i) {
-    EXPECT_EQ(live[i]->vertices()[0][0], static_cast<double>(i));
-  }
-}
-
-TEST_F(InternTest, EvictionIsLeastRecentlyUsed) {
-  const PolytopeHandle a = intern(segment(0.0));
-  const PolytopeHandle b = intern(segment(1.0));
-  // A table's worth of fillers, touching a after each: a stays recent, b
-  // drifts to the LRU end and is the first victim. (A FIFO bound would
-  // evict a as well.)
-  std::vector<PolytopeHandle> fillers;
-  for (std::size_t i = 0; i < kInternTableCapacity; ++i) {
-    fillers.push_back(intern(segment(10.0 + static_cast<double>(i))));
-    ASSERT_EQ(intern(segment(0.0)).get(), a.get()) << "after filler " << i;
-  }
-  // 4098 distinct values in a 4096-entry table: b and the oldest filler.
-  EXPECT_EQ(intern_stats().intern_evictions, 2u);
-  EXPECT_EQ(intern(segment(0.0)).get(), a.get());  // still canonical
-  // b was evicted: re-interning its value mints a new canonical object.
-  EXPECT_NE(intern(segment(1.0)).get(), b.get());
-}
-
 TEST_F(InternTest, ThreadLocalComboCacheIsUsedAndTransparent) {
-  const std::vector<PolytopeHandle> ops = {intern(segment(0.0)),
-                                           intern(segment(1.0))};
-  const PolytopeHandle main_result = equal_weight_combination_interned(ops);
+  const std::vector<Polytope> ops = {segment(0.0), segment(1.0)};
+  const Polytope main_result = equal_weight_combination_memoized(ops);
 
   // A second thread starts with an empty memo: the same operands miss
-  // there once, then hit. Because operands are interned and main_result
-  // is alive, the recomputed value re-interns onto the main thread's
-  // object — which thread's memo served a call is invisible in results.
+  // there once, then hit. The miss computes the value the main thread's
+  // memo holds, so which thread's memo served a call is invisible in
+  // results.
   const InternStats before = intern_stats();
-  PolytopeHandle r1, r2;
+  Polytope r1, r2;
   std::thread worker([&] {
-    r1 = equal_weight_combination_interned(ops);
-    r2 = equal_weight_combination_interned(ops);
+    r1 = equal_weight_combination_memoized(ops);
+    r2 = equal_weight_combination_memoized(ops);
   });
   worker.join();
   const InternStats after = intern_stats();
   EXPECT_EQ(after.combo_misses, before.combo_misses + 1);
   EXPECT_EQ(after.combo_hits, before.combo_hits + 1);
-  EXPECT_EQ(r1.get(), main_result.get());
-  EXPECT_EQ(r2.get(), main_result.get());
+  EXPECT_TRUE(same_vertices(r1, main_result));
+  EXPECT_NE(&r1.vertices(), &main_result.vertices());  // computed again
+  EXPECT_EQ(&r2.vertices(), &r1.vertices());           // the worker's hit
 
   // The worker's memo did not touch this thread's: still a hit here.
-  EXPECT_EQ(equal_weight_combination_interned(ops).get(), main_result.get());
+  EXPECT_EQ(&equal_weight_combination_memoized(ops).vertices(),
+            &main_result.vertices());
   EXPECT_EQ(intern_stats().combo_hits, after.combo_hits + 1);
 }
 
 TEST_F(InternTest, ComboCacheEvictionRecomputesIdenticalValue) {
   // kComboMemoCapacity + 1 distinct operand pairs.
-  std::vector<std::vector<PolytopeHandle>> rounds;
+  std::vector<std::vector<Polytope>> rounds;
   for (std::size_t i = 0; i <= kComboMemoCapacity; ++i) {
     const double lo = 2.0 * static_cast<double>(i);
-    rounds.push_back({intern(segment(lo)), intern(segment(lo + 1.0))});
+    rounds.push_back({segment(lo), segment(lo + 1.0)});
   }
-  std::vector<PolytopeHandle> results;
+  std::vector<Polytope> results;
   for (std::size_t i = 0; i < kComboMemoCapacity; ++i) {
-    results.push_back(equal_weight_combination_interned(rounds[i]));
+    results.push_back(equal_weight_combination_memoized(rounds[i]));
   }
   EXPECT_EQ(intern_stats().combo_misses, kComboMemoCapacity);
 
   // A full memo still holds the first combination (a hit does not reorder
   // the FIFO)...
-  EXPECT_EQ(equal_weight_combination_interned(rounds[0]).get(),
-            results[0].get());
+  EXPECT_EQ(&equal_weight_combination_memoized(rounds[0]).vertices(),
+            &results[0].vertices());
   EXPECT_EQ(intern_stats().combo_hits, 1u);
 
   // ...until one more distinct combination evicts it: recomputing misses
-  // and re-interns onto the same object.
-  equal_weight_combination_interned(rounds[kComboMemoCapacity]);
-  const PolytopeHandle again = equal_weight_combination_interned(rounds[0]);
+  // and yields the same value.
+  equal_weight_combination_memoized(rounds[kComboMemoCapacity]);
+  const Polytope again = equal_weight_combination_memoized(rounds[0]);
   EXPECT_EQ(intern_stats().combo_misses, kComboMemoCapacity + 2);
-  EXPECT_EQ(again.get(), results[0].get())
-      << "recomputation re-interned a new value";
+  EXPECT_TRUE(same_vertices(again, results[0]))
+      << "recomputation produced another value";
+}
+
+TEST_F(InternTest, ComboMissReturnsTheMemosCopyOfAHeldValue) {
+  // Two operand multisets with one combination, [1, 2]: the second call
+  // misses and returns the memo's copy of the first result, so a next
+  // round over either result is one key.
+  const auto seg = [](double lo, double hi) {
+    return Polytope::from_points({Vec{lo}, Vec{hi}});
+  };
+  const Polytope a =
+      equal_weight_combination_memoized({seg(0.0, 1.0), seg(2.0, 3.0)});
+  const Polytope b =
+      equal_weight_combination_memoized({seg(0.5, 1.5), seg(1.5, 2.5)});
+  EXPECT_EQ(intern_stats().combo_misses, 2u);
+  EXPECT_EQ(&b.vertices(), &a.vertices());
+
+  const Polytope c = segment(7.0);
+  const Polytope next_a = equal_weight_combination_memoized({a, c});
+  const Polytope next_b = equal_weight_combination_memoized({c, b});
+  EXPECT_EQ(intern_stats().combo_hits, 1u);
+  EXPECT_EQ(&next_b.vertices(), &next_a.vertices());
 }
 
 /// m points uniform in [-1, 1]^d.
@@ -145,39 +131,39 @@ TEST_F(InternTest, SubsetHullMemoIsTheRawKernelBitForBit) {
     SCOPED_TRACE(d);
     Rng rng(18000 + d);
     const std::vector<Vec> pts = cloud(rng, (d + 2) + 3, d);
-    const PolytopeHandle g = intersection_of_subset_hulls_interned(pts, 1);
+    const Polytope g = intersection_of_subset_hulls_memoized(pts, 1);
     const Polytope raw = intersection_of_subset_hulls(pts, 1);
-    ASSERT_EQ(g->vertices().size(), raw.vertices().size());
+    ASSERT_EQ(g.vertices().size(), raw.vertices().size());
     for (std::size_t i = 0; i < raw.vertices().size(); ++i) {
       for (std::size_t c = 0; c < d; ++c) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(g->vertices()[i][c]),
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g.vertices()[i][c]),
                   std::bit_cast<std::uint64_t>(raw.vertices()[i][c]))
             << "vertex " << i << " coord " << c;
       }
     }
-    // The result is interned: the raw value maps onto the same handle.
-    EXPECT_EQ(intern(raw).get(), g.get());
+    EXPECT_TRUE(same_vertices(raw, g));
   }
 }
 
 TEST_F(InternTest, SubsetHullMemoHitsOnRepeatsAndMissesOnOneUlp) {
   Rng rng(18100);
   std::vector<Vec> pts = cloud(rng, 7, 2);
-  const PolytopeHandle first = intersection_of_subset_hulls_interned(pts, 1);
+  const Polytope first = intersection_of_subset_hulls_memoized(pts, 1);
   EXPECT_EQ(intern_stats().subset_hull_misses, 1u);
   EXPECT_EQ(intern_stats().subset_hull_hits, 0u);
 
-  EXPECT_EQ(intersection_of_subset_hulls_interned(pts, 1).get(), first.get());
+  EXPECT_EQ(&intersection_of_subset_hulls_memoized(pts, 1).vertices(),
+            &first.vertices());  // a copy of the first result
   EXPECT_EQ(intern_stats().subset_hull_hits, 1u);
 
   // Key parts: drop and rel_tol are part of the key too.
-  intersection_of_subset_hulls_interned(pts, 2);
-  intersection_of_subset_hulls_interned(pts, 1, 1e-8);
+  intersection_of_subset_hulls_memoized(pts, 2);
+  intersection_of_subset_hulls_memoized(pts, 1, 1e-8);
   EXPECT_EQ(intern_stats().subset_hull_misses, 3u);
 
   // One ulp in one coordinate of one point is a different view.
   pts[3][1] = std::nextafter(pts[3][1], 2.0);
-  intersection_of_subset_hulls_interned(pts, 1);
+  intersection_of_subset_hulls_memoized(pts, 1);
   EXPECT_EQ(intern_stats().subset_hull_misses, 4u);
   EXPECT_EQ(intern_stats().subset_hull_hits, 1u);
 }
@@ -185,10 +171,10 @@ TEST_F(InternTest, SubsetHullMemoHitsOnRepeatsAndMissesOnOneUlp) {
 TEST_F(InternTest, ClearEmptiesTheSubsetHullMemo) {
   Rng rng(18200);
   const std::vector<Vec> pts = cloud(rng, 6, 2);
-  const PolytopeHandle kept = intersection_of_subset_hulls_interned(pts, 1);
+  const Polytope kept = intersection_of_subset_hulls_memoized(pts, 1);
   clear_intern_caches();
   EXPECT_EQ(intern_stats().subset_hull_misses, 0u);
-  intersection_of_subset_hulls_interned(pts, 1);
+  intersection_of_subset_hulls_memoized(pts, 1);
   EXPECT_EQ(intern_stats().subset_hull_misses, 1u);
   EXPECT_EQ(intern_stats().subset_hull_hits, 0u);
 }
@@ -199,9 +185,9 @@ TEST_F(InternTest, SubsetHullMemoReturnsEmptyGammaAsAHandle) {
   const std::vector<Vec> square = {Vec{0.0, 0.0}, Vec{1.0, 0.0},
                                    Vec{1.0, 1.0}, Vec{0.0, 1.0}};
   const Polytope raw = intersection_of_subset_hulls(square, 1);
-  const PolytopeHandle g = intersection_of_subset_hulls_interned(square, 1);
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->is_empty(), raw.is_empty());
+  const Polytope g = intersection_of_subset_hulls_memoized(square, 1);
+  EXPECT_EQ(g.is_empty(), raw.is_empty());
+  EXPECT_EQ(g.ambient_dim(), 2u);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // SubsetHullProperty's subset-hull and Tverberg-witness containment and
 // LProperty's support-function identity (property_test.cpp).
 // Also here: the kernels start no thread, common::ThreadPool's own
-// contract, and interning with the memoized round combination.
+// contract, and the memoized round combination.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -201,73 +201,38 @@ TEST(KernelThreads, GeometryRunsOnItsCallersThread) {
 }
 
 // ---------------------------------------------------------------------
-// Interning and the memoized round combination.
+// The memoized round combination.
 // ---------------------------------------------------------------------
-
-TEST(Intern, SameValueYieldsSameHandle) {
-  clear_intern_caches();
-  Rng rng(10100);
-  const auto pts = cloud(rng, 8, 2);
-  PolytopeHandle a = intern(Polytope::from_points(pts));
-  PolytopeHandle b = intern(Polytope::from_points(pts));
-  EXPECT_EQ(a.get(), b.get());
-  const InternStats s = intern_stats();
-  EXPECT_EQ(s.intern_misses, 1u);
-  EXPECT_EQ(s.intern_hits, 1u);
-}
-
-TEST(Intern, DistinctValuesYieldDistinctHandles) {
-  clear_intern_caches();
-  PolytopeHandle a = intern(Polytope::from_points({Vec{0.0, 0.0}}));
-  PolytopeHandle b = intern(Polytope::from_points({Vec{1.0, 0.0}}));
-  EXPECT_NE(a.get(), b.get());
-}
 
 TEST(Intern, CombinationMemoizedAcrossOperandOrder) {
   for (std::size_t d : {2u, 3u}) {
     SCOPED_TRACE(d);
     clear_intern_caches();
     Rng rng(10200 + d);
-    std::vector<PolytopeHandle> ops;
+    std::vector<Polytope> ops;
     for (int i = 0; i < 3; ++i) {
-      ops.push_back(intern(Polytope::from_points(cloud(rng, 6, d))));
+      ops.push_back(Polytope::from_points(cloud(rng, 6, d)));
     }
-    PolytopeHandle r1 = equal_weight_combination_interned(ops);
-    std::vector<PolytopeHandle> reversed(ops.rbegin(), ops.rend());
-    PolytopeHandle r2 = equal_weight_combination_interned(reversed);
-    EXPECT_EQ(r1.get(), r2.get()) << "memo must be order-insensitive";
+    const Polytope r1 = equal_weight_combination_memoized(ops);
+    const std::vector<Polytope> reversed(ops.rbegin(), ops.rend());
+    const Polytope r2 = equal_weight_combination_memoized(reversed);
+    EXPECT_EQ(&r1.vertices(), &r2.vertices())
+        << "memo must be order-insensitive";
     const InternStats s = intern_stats();
     EXPECT_EQ(s.combo_misses, 1u);
     EXPECT_EQ(s.combo_hits, 1u);
 
     // And the memoized value is bit-for-bit the combination itself.
-    std::vector<Polytope> concrete;
-    for (const auto& h : ops) concrete.push_back(*h);
-    const Polytope full = equal_weight_combination(concrete);
-    ASSERT_EQ(r1->vertices().size(), full.vertices().size());
+    const Polytope full = equal_weight_combination(ops);
+    ASSERT_EQ(r1.vertices().size(), full.vertices().size());
     for (std::size_t i = 0; i < full.vertices().size(); ++i) {
       for (std::size_t c = 0; c < d; ++c) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(r1->vertices()[i][c]),
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(r1.vertices()[i][c]),
                   std::bit_cast<std::uint64_t>(full.vertices()[i][c]))
             << "vertex " << i << " coord " << c;
       }
     }
   }
-}
-
-TEST(Intern, TableDoesNotKeepPolytopesAlive) {
-  clear_intern_caches();
-  const Polytope p = Polytope::from_points({Vec{2.0, 3.0}});
-  {
-    PolytopeHandle h = intern(p);
-    EXPECT_EQ(intern(p).get(), h.get());
-  }
-  // Handle dropped: the weak table entry expired, so re-interning builds a
-  // fresh object (a miss, not a hit on a dangling pointer).
-  const InternStats before = intern_stats();
-  PolytopeHandle again = intern(p);
-  const InternStats after = intern_stats();
-  EXPECT_EQ(after.intern_misses, before.intern_misses + 1);
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <numbers>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -22,6 +27,72 @@ TEST(Polytope, EmptyBehaviour) {
   EXPECT_THROW(e.vertex_centroid(), ContractViolation);
   EXPECT_THROW(e.measure(), ContractViolation);
   EXPECT_THROW(e.halfspaces(), ContractViolation);
+}
+
+TEST(Polytope, CopiesShareOneRepresentation) {
+  const Polytope a = unit_square();
+  const Polytope copied(a);
+  Polytope assigned = Polytope::empty(2);
+  assigned = a;
+  EXPECT_EQ(&copied.vertices(), &a.vertices());
+  EXPECT_EQ(&assigned.vertices(), &a.vertices());
+  EXPECT_TRUE(same_vertices(copied, a));
+  EXPECT_TRUE(same_vertices(assigned, a));
+  // Built again, the same value is equal but not shared.
+  const Polytope rebuilt = unit_square();
+  EXPECT_NE(&rebuilt.vertices(), &a.vertices());
+  EXPECT_TRUE(same_vertices(rebuilt, a));
+
+  // Default-constructed and moved-from polytopes are empty in dimension 0.
+  const Polytope fresh;
+  EXPECT_TRUE(fresh.is_empty());
+  EXPECT_EQ(fresh.ambient_dim(), 0u);
+  Polytope source = a;
+  const Polytope moved(std::move(source));
+  EXPECT_EQ(&moved.vertices(), &a.vertices());
+  EXPECT_TRUE(source.is_empty());
+  EXPECT_EQ(source.ambient_dim(), 0u);
+  Polytope assign_source = a;
+  Polytope target;
+  target = std::move(assign_source);
+  EXPECT_EQ(&target.vertices(), &a.vertices());
+  EXPECT_TRUE(assign_source.is_empty());
+  EXPECT_EQ(assign_source.ambient_dim(), 0u);
+}
+
+TEST(Polytope, DeferredFacetsBuildOnceAcrossThreads) {
+  // A walk-built polygon derives its facets on the first halfspaces()
+  // call. Copies read on four threads at once must all see one build.
+  constexpr int kThreads = 4;
+  std::vector<Vec> walk;
+  for (int i = 0; i < 48; ++i) {
+    const double a = 2.0 * std::numbers::pi * i / 48.0;
+    walk.push_back(Vec{std::cos(a), std::sin(a)});
+  }
+  const Polytope polygon = Polytope::from_walk2d(walk);
+  const std::vector<Polytope> copies(kThreads, polygon);
+  std::vector<const std::vector<Halfspace>*> seen(kThreads, nullptr);
+  std::atomic<int> waiting{kThreads};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      waiting.fetch_sub(1);
+      while (waiting.load() > 0) {
+      }
+      seen[i] = &copies[i].halfspaces();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const std::vector<Halfspace> eager = Polytope::from_points(walk).halfspaces();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[i], seen[0]) << "thread " << i;  // one build, shared
+  }
+  ASSERT_EQ(seen[0]->size(), eager.size());
+  for (std::size_t f = 0; f < eager.size(); ++f) {
+    EXPECT_EQ((*seen[0])[f].a, eager[f].a) << "facet " << f;
+    EXPECT_EQ((*seen[0])[f].b, eager[f].b) << "facet " << f;
+  }
 }
 
 TEST(Polytope, SinglePoint) {

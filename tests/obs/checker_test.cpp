@@ -4,7 +4,9 @@
 // of aborting the checker.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lossy.hpp"
@@ -106,6 +108,31 @@ TEST(Checker, AcceptsCrashedLaggedRun) {
   EXPECT_TRUE(report.ok()) << (report.parsed
                                    ? obs::describe(report.violations.front())
                                    : report.parse_error);
+}
+
+TEST(Checker, AcceptsLaggedD3Runs) {
+  // At d = 3, lagged delays make L combine distinct states, and some state
+  // vertices land within 1e-6 of a sender hull's facet. Containment must
+  // be decided to well below the checker's tolerance there: a
+  // nearest-point search that resolves only to about that tolerance
+  // rejected both runs (containment at rounds 5 and 7, and the I_Z floor).
+  const std::pair<core::DelayRegime, std::uint64_t> runs[] = {
+      {core::DelayRegime::kLaggedFaulty, 7},
+      {core::DelayRegime::kLaggedOneCorrect, 11}};
+  for (const auto& [delay, seed] : runs) {
+    SCOPED_TRACE(seed);
+    core::LossyRunConfig lc = base_config(seed);
+    lc.base.cc.n = 8;
+    lc.base.cc.d = 3;
+    lc.base.delay = delay;
+    const auto lines = record(lc);
+    const obs::CheckReport report = obs::check_trace_lines(lines);
+    EXPECT_TRUE(report.ok()) << (report.parsed
+                                     ? obs::describe(report.violations.front())
+                                     : report.parse_error);
+    EXPECT_GT(report.containments_checked, 0u);
+    EXPECT_TRUE(report.iz_checked);
+  }
 }
 
 TEST(Checker, AcceptsLossyShimmedRun) {

@@ -3,9 +3,8 @@
 // d ∈ {1, 2, 3}, crash patterns and lossy presets, each batched instance's
 // decision polytopes AND its full per-instance trace stream must be
 // byte-identical to running that instance alone through
-// core::run_cc_lossy_custom. The state concurrent instances share (the
-// interned geometry table) and the per-thread memo tables must be
-// invisible in results.
+// core::run_cc_lossy_custom. The per-thread memo tables that concurrent
+// instances on one shard share must be invisible in results.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -4,8 +4,8 @@
 // A fixed batch of lossy/crashy instances is pushed through the service
 // under seeded permutations of (submission order, shard count, queue
 // capacity) — each permutation yields a different cross-instance
-// interleaving of shard workers over the shared intern table and their
-// per-thread memo tables. For every schedule:
+// interleaving of shard workers over their per-thread memo tables. For
+// every schedule:
 //   * each instance's decisions must be bit-identical to the reference
 //     (solo semantics — interleaving must be invisible), and
 //   * each instance's trace stream must independently pass the offline

@@ -13,7 +13,7 @@
 #include "common/rng.hpp"
 #include "core/process_cc.hpp"
 #include "dsm/store.hpp"
-#include "geometry/intern.hpp"
+#include "geometry/polytope.hpp"
 #include "rbc/slotcast.hpp"
 #include "transport/payload.hpp"
 
@@ -35,9 +35,9 @@ std::vector<std::pair<int, std::any>> sample_payloads() {
   out.emplace_back(dsm::kTagStoreAck, dsm::AckMsg{10});
   out.emplace_back(
       core::kTagRound,
-      core::RoundMsg{4, geo::intern(geo::Polytope::from_points(
+      core::RoundMsg{4, geo::Polytope::from_points(
                             {geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0},
-                             geo::Vec{0.0, 1.0}}))});
+                             geo::Vec{0.0, 1.0}})});
   out.emplace_back(core::kTagNaiveInput, geo::Vec{0.25, -0.75});
   out.emplace_back(rbc::kTagSlotInit,
                    rbc::SlotMsg{2, 0, {0xDE, 0xAD, 0xBE, 0xEF}});
@@ -86,8 +86,8 @@ bool payload_equal(int tag, const std::any& a, const std::any& b) {
       const auto& x = std::any_cast<const core::RoundMsg&>(a);
       const auto& y = std::any_cast<const core::RoundMsg&>(b);
       if (x.round != y.round) return false;
-      const auto& vx = x.h->vertices();
-      const auto& vy = y.h->vertices();
+      const auto& vx = x.h.vertices();
+      const auto& vy = y.h.vertices();
       if (vx.size() != vy.size()) return false;
       for (std::size_t i = 0; i < vx.size(); ++i) {
         if (!vec_equal(vx[i], vy[i])) return false;
@@ -223,13 +223,13 @@ TEST(PayloadFuzz, RoundPolytopeCapIsTheCodecDefault) {
     const geo::Polytope p = sphere(m);
     ASSERT_EQ(p.vertices().size(), m);
     const auto bytes = encode_payload(
-        core::kTagRound, core::RoundMsg{1, geo::intern(p)});
+        core::kTagRound, core::RoundMsg{1, p});
     ASSERT_TRUE(bytes.has_value());
     const auto back = decode_payload(core::kTagRound, *bytes);
     if (m == 4096) {
       ASSERT_TRUE(back.has_value());
       const auto& msg = std::any_cast<const core::RoundMsg&>(*back);
-      EXPECT_EQ(msg.h->vertices().size(), m);
+      EXPECT_EQ(msg.h.vertices().size(), m);
     } else {
       EXPECT_FALSE(back.has_value());
     }

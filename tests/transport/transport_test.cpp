@@ -10,7 +10,7 @@
 #include "common/rng.hpp"
 #include "core/process_cc.hpp"
 #include "dsm/store.hpp"
-#include "geometry/intern.hpp"
+#include "geometry/polytope.hpp"
 #include "transport/payload.hpp"
 
 namespace chc::transport {
@@ -202,17 +202,17 @@ TEST(Payload, DsmTagsRoundTrip) {
 }
 
 TEST(Payload, RoundMsgRoundTripsThroughIntern) {
-  const auto h = geo::intern(geo::Polytope::from_points(
-      {geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0}, geo::Vec{0.0, 1.0}}));
+  const auto h = geo::Polytope::from_points(
+      {geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0}, geo::Vec{0.0, 1.0}});
   auto bytes = encode_payload(core::kTagRound, std::any(core::RoundMsg{4, h}));
   ASSERT_TRUE(bytes.has_value());
   auto back = decode_payload(core::kTagRound, *bytes);
   ASSERT_TRUE(back.has_value());
   const auto& rm = std::any_cast<const core::RoundMsg&>(*back);
   EXPECT_EQ(rm.round, 4u);
-  ASSERT_NE(rm.h, nullptr);
-  // Interning makes value equality pointer equality.
-  EXPECT_EQ(rm.h.get(), h.get());
+  // The decoded state is a new polytope with the sent one's exact value.
+  EXPECT_NE(&rm.h.vertices(), &h.vertices());
+  EXPECT_TRUE(geo::same_vertices(rm.h, h));
 }
 
 TEST(Payload, NaiveInputAndUnsupportedTags) {
@@ -236,8 +236,8 @@ TEST(Payload, RelFrameConversionRoundTrips) {
   d.cum_ack = 7;
   d.tag = core::kTagRound;
   d.payload = sim::make_payload(core::RoundMsg{
-      2, geo::intern(geo::Polytope::from_points(
-             {geo::Vec{0.0, 0.0}, geo::Vec{2.0, 0.0}, geo::Vec{0.0, 2.0}}))});
+      2, geo::Polytope::from_points(
+             {geo::Vec{0.0, 0.0}, geo::Vec{2.0, 0.0}, geo::Vec{0.0, 2.0}})});
   d.src_epoch = 3;
   d.dst_epoch = 1;
   const auto frame = to_rel_frame(d);

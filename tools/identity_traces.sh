@@ -41,6 +41,14 @@ for seed in 7 11; do
   "$TOOLS/chc_record" --preset default --d 3 --n 6 --seed "$seed" \
     --out "$OUT/record_default_d3_n6_${seed}.jsonl"
 done
+# Lagged delays at d = 3: the unshimmed runs in which L and its memo
+# combine distinct states, where a geometry change can move bits.
+for delay in lagged-one lagged-faulty; do
+  for seed in 7 11; do
+    "$TOOLS/chc_record" --preset default --d 3 --n 8 --delay "$delay" \
+      --seed "$seed" --out "$OUT/record_default_d3_n8_${delay}_${seed}.jsonl"
+  done
+done
 "$TOOLS/chc_record" --fuzz 12 --seed 9000 --out-dir "$OUT"
 "$TOOLS/chc_nemesis" --all --seed 7 --out-dir "$OUT"
 "$TOOLS/chc_byz" --sweep --seed 1 --out-dir "$OUT"

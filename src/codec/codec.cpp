@@ -229,25 +229,4 @@ std::optional<HelloFrame> decode_hello(const Buffer& buf) {
   return h;
 }
 
-std::size_t encoded_size(const geo::Vec& v) { return 4 + 8 * v.dim(); }
-
-std::size_t encoded_size(const geo::Polytope& p) {
-  std::size_t s = 8;
-  if (!p.is_empty()) {
-    for (const geo::Vec& v : p.vertices()) s += encoded_size(v);
-  }
-  return s;
-}
-
-std::size_t encoded_size(const dsm::View& view) {
-  std::size_t s = 4;
-  for (const auto& slot : view) {
-    s += 4;
-    if (slot.has_value()) s += encoded_size(*slot);
-  }
-  return s;
-}
-
-std::size_t encoded_size(const RelFrame& f) { return 32 + f.inner.size(); }
-
 }  // namespace chc::codec

@@ -128,10 +128,4 @@ struct HelloFrame {
 Buffer encode_hello(const HelloFrame& h);
 std::optional<HelloFrame> decode_hello(const Buffer& buf);
 
-/// Wire size in bytes of each payload (for experiment accounting).
-std::size_t encoded_size(const geo::Vec& v);
-std::size_t encoded_size(const geo::Polytope& p);
-std::size_t encoded_size(const dsm::View& view);
-std::size_t encoded_size(const RelFrame& f);
-
 }  // namespace chc::codec

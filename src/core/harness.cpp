@@ -1,5 +1,6 @@
 #include "core/harness.hpp"
 
+#include <limits>
 #include <set>
 
 #include "common/check.hpp"
@@ -17,9 +18,10 @@ std::unique_ptr<sim::DelayModel> make_delay_model(
     case DelayRegime::kExponential:
       return std::make_unique<sim::ExponentialDelay>(0.5);
     case DelayRegime::kLaggedFaulty:
-      return std::make_unique<sim::LaggedSetDelay>(
+      return std::make_unique<sim::PhasedLagDelay>(
           std::make_unique<sim::UniformDelay>(0.1, 1.0),
-          std::set<sim::ProcessId>(faulty.begin(), faulty.end()), 50.0);
+          std::set<sim::ProcessId>(faulty.begin(), faulty.end()), 50.0,
+          /*until=*/std::numeric_limits<sim::Time>::infinity());
     case DelayRegime::kLaggedOneCorrect: {
       const std::set<sim::ProcessId> fset(faulty.begin(), faulty.end());
       sim::ProcessId lagged = 0;

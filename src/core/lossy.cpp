@@ -22,8 +22,6 @@ obs::HeaderChannelOverride to_header_override(sim::ProcessId from,
   o.drop = c.drop_rate;
   o.dup = c.dup_rate;
   o.reorder = c.reorder_rate;
-  o.rmin = c.reorder_delay_min;
-  o.rmax = c.reorder_delay_max;
   return o;
 }
 
@@ -51,13 +49,8 @@ obs::TraceHeader make_trace_header(const LossyRunConfig& lc,
   h.drop = lc.policy.link.drop_rate;
   h.dup = lc.policy.link.dup_rate;
   h.reorder = lc.policy.link.reorder_rate;
-  h.reorder_delay_min = lc.policy.link.reorder_delay_min;
-  h.reorder_delay_max = lc.policy.link.reorder_delay_max;
   h.reliable = lc.reliable;
-  h.rto = lc.rel.rto;
-  h.backoff = lc.rel.backoff;
   h.rto_max = lc.rel.rto_max;
-  h.jitter = lc.rel.jitter;
   h.max_retries = lc.rel.max_retries;
   h.max_events = lc.max_events;
   h.overrides = to_header_overrides(lc.policy);
@@ -67,8 +60,6 @@ obs::TraceHeader make_trace_header(const LossyRunConfig& lc,
     hp.drop = ph.policy.link.drop_rate;
     hp.dup = ph.policy.link.dup_rate;
     hp.reorder = ph.policy.link.reorder_rate;
-    hp.rmin = ph.policy.link.reorder_delay_min;
-    hp.rmax = ph.policy.link.reorder_delay_max;
     hp.overrides = to_header_overrides(ph.policy);
     h.phases.push_back(std::move(hp));
   }

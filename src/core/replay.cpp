@@ -12,28 +12,14 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-/// Names the first out-of-range field of one header link class, or returns
-/// nullptr when it is valid (the CHC_CHECKs in ChannelPolicy's constructor
-/// and net::FaultyLinkModel throw; a malformed trace file should fail
-/// gracefully).
-const char* bad_link_field(double drop, double dup, double reorder,
-                           double rmin, double rmax) {
+/// Names the first out-of-range rate of one header link class, or returns
+/// nullptr when it is valid (ChannelPolicy's constructor would clamp it
+/// silently; a malformed trace file should fail gracefully).
+const char* bad_link_field(double drop, double dup, double reorder) {
   const auto rate = [](double r) { return r >= 0.0 && r <= 1.0; };
   if (!rate(drop)) return "drop";
   if (!rate(dup)) return "dup";
   if (!rate(reorder)) return "reorder";
-  if (!(rmin > 0.0)) return "reorder_delay_min";
-  if (!(rmin <= rmax)) return "reorder_delay_max";
-  return nullptr;
-}
-
-/// Names the first shim parameter net::ReliableChannel's constructor would
-/// refuse, or returns nullptr.
-const char* bad_shim_field(const obs::TraceHeader& h) {
-  if (!(h.rto > 0.0)) return "rto";
-  if (!(h.backoff >= 1.0)) return "backoff";
-  if (!(h.rto_max >= h.rto)) return "rto_max";
-  if (!(h.jitter >= 0.0 && h.jitter < 1.0)) return "jitter";
   return nullptr;
 }
 
@@ -44,13 +30,11 @@ bool apply_overrides(const std::vector<obs::HeaderChannelOverride>& overrides,
     if (o.from >= n || o.to >= n) {
       return fail(error, "override channel id out of range");
     }
-    if (const char* bad =
-            bad_link_field(o.drop, o.dup, o.reorder, o.rmin, o.rmax)) {
+    if (const char* bad = bad_link_field(o.drop, o.dup, o.reorder)) {
       return fail(error, std::string("override ") + bad + " out of range");
     }
     policy->set_channel(o.from, o.to,
-                        net::ChannelPolicy(o.drop, o.dup, o.reorder, o.rmin,
-                                           o.rmax));
+                        net::ChannelPolicy(o.drop, o.dup, o.reorder));
   }
   return true;
 }
@@ -87,18 +71,15 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   }
   // The uniform link class, as net::FaultyLinkModel checks it: only a
   // scheduled policy may drop everything (a partition phase).
-  if (const char* bad = bad_link_field(h.drop, h.dup, h.reorder,
-                                       h.reorder_delay_min,
-                                       h.reorder_delay_max)) {
+  if (const char* bad = bad_link_field(h.drop, h.dup, h.reorder)) {
     return fail(error, std::string(bad) + " out of range");
   }
   if (h.phases.empty() && h.drop >= 1.0) {
     return fail(error, "drop = 1 is not fair-lossy without policy phases");
   }
-  if (h.reliable) {
-    if (const char* bad = bad_shim_field(h)) {
-      return fail(error, std::string(bad) + " out of range for the shim");
-    }
+  // net::ReliableChannel's constructor refuses a ceiling below its RTO.
+  if (h.reliable && !(h.rto_max >= net::kRto)) {
+    return fail(error, "rto_max out of range for the shim");
   }
 
   LossyRunConfig out;
@@ -118,21 +99,17 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   out.base.delay = static_cast<DelayRegime>(h.delay);
   out.base.seed = h.seed;
   out.policy = net::NetworkPolicy::lossy(h.drop, h.dup, h.reorder);
-  out.policy.link.reorder_delay_min = h.reorder_delay_min;
-  out.policy.link.reorder_delay_max = h.reorder_delay_max;
   if (!apply_overrides(h.overrides, h.n, &out.policy, error)) return false;
   for (std::size_t k = 0; k < h.phases.size(); ++k) {
     const obs::HeaderPolicyPhase& hp = h.phases[k];
     if (k == 0 ? hp.at != 0.0 : hp.at <= h.phases[k - 1].at) {
       return fail(error, "policy phase times must start at 0 and ascend");
     }
-    if (const char* bad =
-            bad_link_field(hp.drop, hp.dup, hp.reorder, hp.rmin, hp.rmax)) {
+    if (const char* bad = bad_link_field(hp.drop, hp.dup, hp.reorder)) {
       return fail(error, std::string("phase ") + bad + " out of range");
     }
     net::NetworkPolicy phase;
-    phase.link =
-        net::ChannelPolicy(hp.drop, hp.dup, hp.reorder, hp.rmin, hp.rmax);
+    phase.link = net::ChannelPolicy(hp.drop, hp.dup, hp.reorder);
     if (!apply_overrides(hp.overrides, h.n, &phase, error)) return false;
     out.schedule.add(hp.at, std::move(phase));
   }
@@ -160,10 +137,7 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
     out.storms.push_back({s.t0, s.t1, s.factor});
   }
   out.reliable = h.reliable;
-  out.rel.rto = h.rto;
-  out.rel.backoff = h.backoff;
   out.rel.rto_max = h.rto_max;
-  out.rel.jitter = h.jitter;
   out.rel.max_retries = h.max_retries;
   out.max_events = h.max_events;
 

@@ -85,9 +85,6 @@ class GrowOnlyStore {
   /// Dispatches a DSM-layer message (both server and client roles).
   void on_message(sim::Context& ctx, const sim::Message& msg);
 
-  /// Local replica contents (for tests and analysis).
-  const View& replica() const { return slots_; }
-
  private:
   void merge_into_replica(const View& v);
   std::size_t quorum() const { return n_ - f_; }

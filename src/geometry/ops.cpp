@@ -314,11 +314,9 @@ Polytope intersect_halfspaces(std::size_t dim,
     CHC_CHECK(h.a.dim() == dim, "halfspace dimension mismatch");
   }
   CHC_CHECK(!halfspaces.empty(), "unbounded: empty halfspace system");
-  // One workspace per thread: the LP matrices and dual point set keep their
-  // capacity across calls (and across the recursion inside one call), so a
-  // steady-state round performs no heap allocation here. Safe because
-  // intersect_impl is not re-entered through any of its callees.
-  static thread_local IntersectWorkspace ws;
+  // One workspace per call: the LP matrices and dual point set keep their
+  // capacity across the recursion inside the call.
+  IntersectWorkspace ws;
   return intersect_impl(dim, halfspaces, rel_tol, 0, ws);
 }
 

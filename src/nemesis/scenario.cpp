@@ -199,9 +199,7 @@ Scenario::Compiled Scenario::compile(std::size_t n, Target target) const {
       if (at < cut.t0 || at >= cut.t1) continue;
       // Severed link: certain drop, otherwise the base class's behavior.
       const net::ChannelPolicy& b = base_.link;
-      const net::ChannelPolicy severed(1.0, b.dup_rate, b.reorder_rate,
-                                       b.reorder_delay_min,
-                                       b.reorder_delay_max);
+      const net::ChannelPolicy severed(1.0, b.dup_rate, b.reorder_rate);
       for (const auto& [a, c] : cut_links(cut, n)) {
         phase.set_channel(a, c, severed);
       }

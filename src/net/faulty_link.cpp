@@ -6,7 +6,7 @@ namespace chc::net {
 
 namespace {
 
-/// ChannelPolicy's validating constructor already clamps rates; re-check
+/// ChannelPolicy's constructor already clamps rates; re-check
 /// here so raw field assignment cannot smuggle bad values in, and enforce
 /// the extra fair-lossy restriction for non-scheduled models.
 void validate_policy(const NetworkPolicy& p, bool allow_full_drop) {
@@ -20,9 +20,6 @@ void validate_policy(const NetworkPolicy& p, bool allow_full_drop) {
     if (!allow_full_drop) {
       CHC_CHECK(f.drop_rate < 1.0, "drop_rate 1.0 is not fair-lossy");
     }
-    CHC_CHECK(0.0 < f.reorder_delay_min &&
-                  f.reorder_delay_min <= f.reorder_delay_max,
-              "reorder delay range must be positive and ordered");
   };
   validate(p.link);
   for (const auto& [channel, faults] : p.overrides) {
@@ -48,23 +45,20 @@ FaultyLinkModel::FaultyLinkModel(PolicySchedule schedule)
   }
 }
 
-const NetworkPolicy& FaultyLinkModel::policy_at(sim::Time now) const {
-  return schedule_.empty() ? policy_ : schedule_.active(now);
-}
-
 sim::LinkFaultDecision FaultyLinkModel::decide(sim::ProcessId from,
                                                sim::ProcessId to, int tag,
                                                sim::Time now, Rng& rng) {
   (void)tag;
-  const ChannelPolicy& f = policy_at(now).for_channel(from, to);
+  const NetworkPolicy& p = schedule_.empty() ? policy_ : schedule_.active(now);
+  const ChannelPolicy& f = p.for_channel(from, to);
   sim::LinkFaultDecision d;
-  // Draw every coin regardless of earlier outcomes so the RNG stream
-  // position per send is fixed — decisions on later sends never shift when
-  // a rate is tuned.
+  // Draw every coin and the extra delay regardless of earlier outcomes so
+  // the RNG stream position per send is fixed — decisions on later sends
+  // never shift when a rate is tuned.
   const bool drop = rng.bernoulli(f.drop_rate);
   const bool dup = rng.bernoulli(f.dup_rate);
   const bool reorder = rng.bernoulli(f.reorder_rate);
-  const double extra = rng.uniform(f.reorder_delay_min, f.reorder_delay_max);
+  const double extra = rng.uniform(kReorderDelayMin, kReorderDelayMax);
   if (drop) {
     d.drop = true;
     return d;

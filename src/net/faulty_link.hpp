@@ -32,10 +32,6 @@ class FaultyLinkModel final : public sim::LinkFaultModel {
   sim::LinkFaultDecision decide(sim::ProcessId from, sim::ProcessId to,
                                 int tag, sim::Time now, Rng& rng) override;
 
-  /// The policy in force at time `now` (constant for single-policy models).
-  const NetworkPolicy& policy_at(sim::Time now) const;
-  const NetworkPolicy& policy() const { return policy_at(0.0); }
-
  private:
   const NetworkPolicy policy_;        ///< used when schedule_ is empty
   const PolicySchedule schedule_;

@@ -26,40 +26,33 @@
 
 namespace chc::net {
 
+/// Extra delay (delay-model time units) a reordered message picks up,
+/// uniform in [kReorderDelayMin, kReorderDelayMax] — enough for later
+/// traffic to overtake it (the stock delay models draw one-way latencies
+/// <= 1.0).
+inline constexpr double kReorderDelayMin = 0.5;
+inline constexpr double kReorderDelayMax = 3.0;
+
 /// Fault rates of one (class of) directed link. All probabilities are
-/// independent per accepted send. Construct through the validating
-/// constructor where possible: rates are clamped into [0, 1] and the
-/// reorder-delay range is checked once, instead of surfacing later as a
-/// FaultyLinkModel failure mid-experiment.
+/// independent per accepted send. Construct through the clamping
+/// constructor where possible: rates are clamped into [0, 1] once, instead
+/// of surfacing later as a FaultyLinkModel failure mid-experiment.
 struct ChannelPolicy {
   double drop_rate = 0.0;     ///< P(message vanishes)
   double dup_rate = 0.0;      ///< P(one extra copy is enqueued)
   double reorder_rate = 0.0;  ///< P(message bypasses FIFO, delayed extra)
-  /// Extra delay (delay-model time units) a reordered message picks up,
-  /// uniform in [min, max] — enough for later traffic to overtake it.
-  double reorder_delay_min = 0.5;
-  double reorder_delay_max = 3.0;
 
   ChannelPolicy() = default;
 
-  ChannelPolicy(double drop, double dup, double reorder,
-                double delay_min = 0.5, double delay_max = 3.0)
+  ChannelPolicy(double drop, double dup, double reorder)
       : drop_rate(std::clamp(drop, 0.0, 1.0)),
         dup_rate(std::clamp(dup, 0.0, 1.0)),
-        reorder_rate(std::clamp(reorder, 0.0, 1.0)),
-        reorder_delay_min(delay_min),
-        reorder_delay_max(delay_max) {
-    CHC_CHECK(delay_min > 0.0 && delay_min <= delay_max,
-              "need 0 < reorder_delay_min <= reorder_delay_max");
-  }
+        reorder_rate(std::clamp(reorder, 0.0, 1.0)) {}
 
   bool faulty() const {
     return drop_rate > 0.0 || dup_rate > 0.0 || reorder_rate > 0.0;
   }
 };
-
-/// Historical name (the shim predates per-channel scheduling).
-using LinkFaults = ChannelPolicy;
 
 /// Whole-network policy: one default link class plus optional per-directed-
 /// channel overrides (e.g. a single flaky link, or an asymmetric cut).
@@ -139,22 +132,27 @@ class PolicySchedule {
   std::vector<Phase> phases_;
 };
 
-/// Tuning of the reliable-channel shim's retransmission machinery, in
-/// delay-model time units (NodeRuntime maps them onto wall time through
-/// its time_scale).
+/// The reliable-channel shim's retransmission schedule, in delay-model
+/// time units (NodeRuntime maps them onto wall time through its
+/// time_scale). A frame's first timeout is kRto; each retry multiplies it
+/// by kBackoff up to ReliableParams::rto_max, and every timeout is
+/// randomized by a factor uniform in [1 - kJitter, 1 + kJitter]. The stock
+/// delay models draw one-way latencies <= 1.0, so the worst-case clean RTT
+/// is 2.0; at the jitter low end a 3.0 RTO still fires no earlier than
+/// 3.0 x (1 - 0.25) = 2.25 — a clean network sees zero spurious
+/// retransmissions.
+inline constexpr double kRto = 3.0;
+inline constexpr double kBackoff = 2.0;
+inline constexpr double kJitter = 0.25;
+
+/// The shim's per-deployment limits (the simulator and a live node use
+/// different ones).
 struct ReliableParams {
-  /// Initial retransmission timeout. The stock delay models draw one-way
-  /// latencies <= 1.0, so the worst-case clean RTT is 2.0; at the jitter
-  /// low end (x(1-jitter)) a 3.0 initial RTO still fires no earlier than
-  /// 2.25 — a clean network sees zero spurious retransmissions.
-  double rto = 3.0;
-  double backoff = 2.0;    ///< exponential backoff factor per retry
-  double rto_max = 20.0;   ///< backoff ceiling
-  double jitter = 0.25;    ///< +/- fraction of randomization on each RTO
+  double rto_max = 20.0;  ///< backoff ceiling; at least kRto
   /// Per-packet retry budget. Fair-lossy links only need "retransmit until
   /// acked", but a crashed receiver never acks — once the oldest unacked
   /// frame has been retried this often the channel declares the peer
-  /// unreachable and stops, so executions quiesce. At rto=3, backoff 2x
+  /// unreachable and stops, so executions quiesce. At kRto, backoff 2x
   /// capped at 20: ~15 retries span ~260 time units after that frame's
   /// first send, far beyond any CC execution against a live peer.
   std::size_t max_retries = 15;

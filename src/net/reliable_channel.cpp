@@ -17,6 +17,10 @@ constexpr std::size_t kSilentAfter = 2;
 
 constexpr sim::Time kNever = std::numeric_limits<sim::Time>::infinity();
 
+sim::Time jittered(sim::Time rto, Rng& rng) {
+  return rto * rng.uniform(1.0 - kJitter, 1.0 + kJitter);
+}
+
 }  // namespace
 
 ShimStats& ShimStats::operator+=(const ShimStats& o) {
@@ -84,11 +88,7 @@ ReliableChannel::ReliableChannel(std::unique_ptr<sim::Process> inner,
     : inner_(std::move(inner)), params_(params), epoch_(epoch) {
   if (tracer != nullptr) tracer_ = tracer;
   CHC_CHECK(inner_ != nullptr, "null wrapped process");
-  CHC_CHECK(params_.rto > 0.0, "timeouts must be > 0");
-  CHC_CHECK(params_.backoff >= 1.0, "backoff factor must be >= 1");
-  CHC_CHECK(params_.rto_max >= params_.rto, "rto_max below initial rto");
-  CHC_CHECK(params_.jitter >= 0.0 && params_.jitter < 1.0,
-            "jitter fraction must be in [0, 1)");
+  CHC_CHECK(params_.rto_max >= kRto, "rto_max below initial rto");
 }
 
 void ReliableChannel::ensure_peers(sim::Context& ctx) {
@@ -120,11 +120,6 @@ void ReliableChannel::arm(sim::Context& ctx) {
   if (earliest != kNever) arm_at(ctx, earliest);
 }
 
-sim::Time ReliableChannel::jittered(sim::Time rto, Rng& rng) const {
-  if (params_.jitter == 0.0) return rto;
-  return rto * rng.uniform(1.0 - params_.jitter, 1.0 + params_.jitter);
-}
-
 void ReliableChannel::send_data(sim::Context& ctx, sim::ProcessId to,
                                 const Outstanding& o) {
   Peer& peer = peers_[to];
@@ -154,8 +149,8 @@ void ReliableChannel::reliable_send(sim::Context& ctx, sim::ProcessId to,
   o.seq = peer.next_seq++;
   o.tag = tag;
   o.payload = std::move(payload);  // shared with every (re)transmission
-  o.cur_rto = params_.rto;
-  o.next_at = ctx.now() + jittered(params_.rto, ctx.rng());
+  o.cur_rto = kRto;
+  o.next_at = ctx.now() + jittered(kRto, ctx.rng());
   peer.window.push_back(std::move(o));
   ++stats_.data_sent;
   const Outstanding& sent = peer.window.back();
@@ -180,7 +175,7 @@ void ReliableChannel::retransmit(sim::Context& ctx, sim::ProcessId to,
     e.aux = o.retries;
     return e;
   });
-  o.cur_rto = std::min(o.cur_rto * params_.backoff, params_.rto_max);
+  o.cur_rto = std::min(o.cur_rto * kBackoff, params_.rto_max);
   o.next_at = now + jittered(o.cur_rto, ctx.rng());
   send_data(ctx, to, o);
 }
@@ -226,8 +221,8 @@ void ReliableChannel::reset_peer(sim::Context& ctx, sim::ProcessId peer_id,
   for (Outstanding& o : peer.window) {
     o.seq = seq++;
     o.retries = 0;
-    o.cur_rto = params_.rto;
-    o.next_at = now + jittered(params_.rto, ctx.rng());
+    o.cur_rto = kRto;
+    o.next_at = now + jittered(kRto, ctx.rng());
     send_data(ctx, peer_id, o);
     arm_at(ctx, o.next_at);
   }

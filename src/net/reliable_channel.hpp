@@ -179,7 +179,6 @@ class ReliableChannel final : public sim::Process {
   void arm_at(sim::Context& ctx, sim::Time at);
   /// Arms the timer at the earliest deadline any window is waiting on.
   void arm(sim::Context& ctx);
-  sim::Time jittered(sim::Time rto, Rng& rng) const;
   void reliable_send(sim::Context& ctx, sim::ProcessId to, int tag,
                      sim::Payload payload);
   void send_data(sim::Context& ctx, sim::ProcessId to, const Outstanding& o);

@@ -154,10 +154,6 @@ void append_override(std::string& out, const HeaderChannelOverride& o) {
   json_append_double(out, o.dup);
   out += ",\"reorder\":";
   json_append_double(out, o.reorder);
-  out += ",\"rmin\":";
-  json_append_double(out, o.rmin);
-  out += ",\"rmax\":";
-  json_append_double(out, o.rmax);
   out.push_back('}');
 }
 
@@ -169,8 +165,6 @@ bool parse_override(const JsonValue& j, HeaderChannelOverride& o) {
   r.read("drop", o.drop);
   r.read("dup", o.dup);
   r.read("reorder", o.reorder);
-  r.read("rmin", o.rmin);
-  r.read("rmax", o.rmax);
   return r.ok();
 }
 
@@ -354,13 +348,8 @@ std::string to_jsonl(const TraceHeader& h) {
   dbl("drop", h.drop);
   dbl("dup", h.dup);
   dbl("reorder", h.reorder);
-  dbl("reorder_delay_min", h.reorder_delay_min);
-  dbl("reorder_delay_max", h.reorder_delay_max);
   bol("reliable", h.reliable);
-  dbl("rto", h.rto);
-  dbl("backoff", h.backoff);
   dbl("rto_max", h.rto_max);
-  dbl("jitter", h.jitter);
   u64("max_retries", h.max_retries);
   u64("max_events", h.max_events);
   if (h.clock_rate != 1.0) dbl("clock_rate", h.clock_rate);
@@ -385,10 +374,6 @@ std::string to_jsonl(const TraceHeader& h) {
       json_append_double(out, ph.dup);
       out += ",\"reorder\":";
       json_append_double(out, ph.reorder);
-      out += ",\"rmin\":";
-      json_append_double(out, ph.rmin);
-      out += ",\"rmax\":";
-      json_append_double(out, ph.rmax);
       if (!ph.overrides.empty()) {
         out += ",\"overrides\":[";
         for (std::size_t k = 0; k < ph.overrides.size(); ++k) {
@@ -503,13 +488,8 @@ bool parse_header(std::string_view line, TraceHeader& out,
   r.read("drop", out.drop);
   r.read("dup", out.dup);
   r.read("reorder", out.reorder);
-  r.read("reorder_delay_min", out.reorder_delay_min);
-  r.read("reorder_delay_max", out.reorder_delay_max);
   r.read("reliable", out.reliable);
-  r.read("rto", out.rto);
-  r.read("backoff", out.backoff);
   r.read("rto_max", out.rto_max);
-  r.read("jitter", out.jitter);
   r.read("max_retries", out.max_retries);
   r.read("max_events", out.max_events);
   r.read("clock_rate", out.clock_rate);
@@ -537,8 +517,6 @@ bool parse_header(std::string_view line, TraceHeader& out,
     pr.read("drop", ph.drop);
     pr.read("dup", ph.dup);
     pr.read("reorder", ph.reorder);
-    pr.read("rmin", ph.rmin);
-    pr.read("rmax", ph.rmax);
     for (const JsonValue& o : pr.array("overrides")) {
       HeaderChannelOverride co;
       if (!parse_override(o, co)) {

@@ -89,7 +89,6 @@ bool parse_event(std::string_view line, TraceEvent& out,
 struct HeaderChannelOverride {
   std::uint64_t from = 0, to = 0;
   double drop = 0.0, dup = 0.0, reorder = 0.0;
-  double rmin = 0.5, rmax = 3.0;
 };
 
 /// One phase of a time-varying network policy: from `at` onward (until the
@@ -97,7 +96,6 @@ struct HeaderChannelOverride {
 struct HeaderPolicyPhase {
   double at = 0.0;
   double drop = 0.0, dup = 0.0, reorder = 0.0;
-  double rmin = 0.5, rmax = 3.0;
   std::vector<HeaderChannelOverride> overrides;
 };
 
@@ -164,9 +162,8 @@ struct TraceHeader {
 
   // Network policy + recovery shim (uniform link class).
   double drop = 0.0, dup = 0.0, reorder = 0.0;
-  double reorder_delay_min = 0.5, reorder_delay_max = 3.0;
   bool reliable = false;
-  double rto = 3.0, backoff = 2.0, rto_max = 20.0, jitter = 0.25;
+  double rto_max = 20.0;
   std::uint64_t max_retries = 15;
   std::uint64_t max_events = 50'000'000;
 

@@ -1,10 +1,23 @@
 #include "rbc/slotcast.hpp"
 
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace chc::rbc {
+
+namespace {
+
+std::string value_of(const Bytes& bytes) {
+  return std::string(bytes.begin(), bytes.end());
+}
+
+Bytes bytes_of(const std::string& value) {
+  return Bytes(value.begin(), value.end());
+}
+
+}  // namespace
 
 SlotBroadcast::SlotBroadcast(std::size_t n, std::size_t f, sim::ProcessId self,
                              Deliver deliver, Options options)
@@ -30,7 +43,7 @@ void SlotBroadcast::broadcast(sim::Context& ctx, std::uint32_t slot,
   const Key key{self_, slot};
   Slot& st = slots_[key];
   st.echoed = true;
-  st.echoes[bytes].insert(self_);
+  st.echoes[value_of(bytes)].insert(self_);
   ctx.broadcast_others(kTagSlotEcho, SlotMsg{self_, slot, std::move(bytes)});
   maybe_progress(ctx, key, st);
 }
@@ -39,16 +52,15 @@ void SlotBroadcast::broadcast(sim::Context& ctx, std::uint32_t slot,
 /// Byzantine flooder can register at most n + 2 candidate values per slot
 /// (more than any correct execution produces), bounding memory. Support for
 /// an already-tracked value is always counted.
-bool SlotBroadcast::count_support(
-    std::map<Bytes, std::set<sim::ProcessId>>& by_value, const Bytes& bytes,
-    sim::ProcessId supporter) {
-  const auto it = by_value.find(bytes);
+bool SlotBroadcast::count_support(Support& by_value, Value value,
+                                  sim::ProcessId supporter) {
+  const auto it = by_value.find(value);
   if (it != by_value.end()) {
     it->second.insert(supporter);
     return true;
   }
   if (by_value.size() >= n_ + 2) return false;
-  by_value[bytes].insert(supporter);
+  by_value[std::move(value)].insert(supporter);
   return true;
 }
 
@@ -72,7 +84,7 @@ void SlotBroadcast::on_message(sim::Context& ctx, const sim::Message& msg) {
       Slot& st = slots_[key];
       if (st.echoed) return;  // echo the FIRST init only
       st.echoed = true;
-      st.echoes[sm->bytes].insert(self_);
+      st.echoes[value_of(sm->bytes)].insert(self_);
       ctx.broadcast_others(kTagSlotEcho,
                            SlotMsg{sm->origin, sm->slot, sm->bytes});
       maybe_progress(ctx, key, st);
@@ -80,7 +92,7 @@ void SlotBroadcast::on_message(sim::Context& ctx, const sim::Message& msg) {
     }
     case kTagSlotEcho: {
       Slot& st = slots_[key];
-      if (!count_support(st.echoes, sm->bytes, msg.from)) {
+      if (!count_support(st.echoes, value_of(sm->bytes), msg.from)) {
         ++rejected_;
         return;
       }
@@ -89,7 +101,7 @@ void SlotBroadcast::on_message(sim::Context& ctx, const sim::Message& msg) {
     }
     case kTagSlotReady: {
       Slot& st = slots_[key];
-      if (!count_support(st.readies, sm->bytes, msg.from)) {
+      if (!count_support(st.readies, value_of(sm->bytes), msg.from)) {
         ++rejected_;
         return;
       }
@@ -106,33 +118,33 @@ void SlotBroadcast::maybe_progress(sim::Context& ctx, const Key& key,
                                    Slot& slot) {
   // READY once the echo quorum (n-f) or ready amplification (f+1) is met.
   if (!slot.readied) {
-    for (const auto& [bytes, supporters] : slot.echoes) {
+    for (const auto& [value, supporters] : slot.echoes) {
       if (supporters.size() >= n_ - f_) {
         slot.readied = true;
-        slot.readies[bytes].insert(self_);
+        slot.readies[value].insert(self_);
         ctx.broadcast_others(kTagSlotReady,
-                             SlotMsg{key.first, key.second, bytes});
+                             SlotMsg{key.first, key.second, bytes_of(value)});
         break;
       }
     }
   }
   if (!slot.readied) {
-    for (const auto& [bytes, supporters] : slot.readies) {
+    for (const auto& [value, supporters] : slot.readies) {
       if (supporters.size() >= f_ + 1) {
         slot.readied = true;
-        slot.readies[bytes].insert(self_);
+        slot.readies[value].insert(self_);
         ctx.broadcast_others(kTagSlotReady,
-                             SlotMsg{key.first, key.second, bytes});
+                             SlotMsg{key.first, key.second, bytes_of(value)});
         break;
       }
     }
   }
   // Deliver on 2f+1 READYs for a single value.
   if (!slot.delivered) {
-    for (const auto& [bytes, supporters] : slot.readies) {
+    for (const auto& [value, supporters] : slot.readies) {
       if (supporters.size() >= 2 * f_ + 1) {
         slot.delivered = true;
-        deliver_(ctx, key.first, key.second, bytes);
+        deliver_(ctx, key.first, key.second, bytes_of(value));
         break;
       }
     }

@@ -27,6 +27,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sim/process.hpp"
@@ -88,18 +89,22 @@ class SlotBroadcast {
  private:
   using Key = std::pair<sim::ProcessId, std::uint32_t>;
 
-  /// Per-(origin, slot) Bracha state; candidate values keyed by exact
-  /// bytes, each with its distinct-supporter set.
+  /// A candidate value's exact bytes. std::string orders them byte-wise,
+  /// as Bytes does, so the first value to reach a quorum is the same.
+  using Value = std::string;
+  using Support = std::map<Value, std::set<sim::ProcessId>>;
+
+  /// Per-(origin, slot) Bracha state; candidate values, each with its
+  /// distinct-supporter set.
   struct Slot {
     bool echoed = false;
     bool readied = false;
     bool delivered = false;
-    std::map<Bytes, std::set<sim::ProcessId>> echoes;
-    std::map<Bytes, std::set<sim::ProcessId>> readies;
+    Support echoes;
+    Support readies;
   };
 
-  bool count_support(std::map<Bytes, std::set<sim::ProcessId>>& by_value,
-                     const Bytes& bytes, sim::ProcessId supporter);
+  bool count_support(Support& by_value, Value value, sim::ProcessId supporter);
   void maybe_progress(sim::Context& ctx, const Key& key, Slot& slot);
 
   std::size_t n_, f_;

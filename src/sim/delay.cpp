@@ -27,21 +27,6 @@ Time ExponentialDelay::delay(ProcessId, ProcessId, Time, Rng& rng) {
   return 1e-6 + rng.exponential(1.0 / mean_);
 }
 
-LaggedSetDelay::LaggedSetDelay(std::unique_ptr<DelayModel> base,
-                               std::set<ProcessId> lagged, double factor)
-    : base_(std::move(base)), lagged_(std::move(lagged)), factor_(factor) {
-  CHC_CHECK(base_ != nullptr, "base delay model required");
-  CHC_CHECK(factor >= 1.0, "lag factor must be >= 1");
-}
-
-Time LaggedSetDelay::delay(ProcessId from, ProcessId to, Time now, Rng& rng) {
-  const Time base = base_->delay(from, to, now, rng);
-  if (lagged_.count(from) != 0 || lagged_.count(to) != 0) {
-    return base * factor_;
-  }
-  return base;
-}
-
 PhasedLagDelay::PhasedLagDelay(std::unique_ptr<DelayModel> base,
                                std::set<ProcessId> lagged, double factor,
                                Time until)

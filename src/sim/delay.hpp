@@ -54,27 +54,14 @@ class ExponentialDelay final : public DelayModel {
   Time mean_;
 };
 
-/// Adversarial schedule: messages to or from a designated "lagged" set take
-/// `factor` times the base delay. This is the schedule used in the paper's
-/// optimality argument (Theorem 3): up to f processes are so slow that the
-/// rest must decide without hearing from them.
-class LaggedSetDelay final : public DelayModel {
- public:
-  LaggedSetDelay(std::unique_ptr<DelayModel> base, std::set<ProcessId> lagged,
-                 double factor);
-  Time delay(ProcessId from, ProcessId to, Time now, Rng& rng) override;
-
- private:
-  std::unique_ptr<DelayModel> base_;
-  std::set<ProcessId> lagged_;
-  double factor_;
-};
-
-/// Transient adversary: like LaggedSetDelay, but the lag only applies to
-/// messages submitted before `until`. Models a process that is slow during
-/// the protocol's opening phase (e.g. round 0) and recovers — the schedule
-/// that makes stable-vector views genuinely differ while keeping everyone
-/// participating afterwards.
+/// Adversarial schedule: messages to or from a designated "lagged" set,
+/// submitted before `until`, take `factor` times the base delay. With an
+/// infinite `until` this is the schedule used in the paper's optimality
+/// argument (Theorem 3): up to f processes are so slow that the rest must
+/// decide without hearing from them. With a finite one it models a process
+/// that is slow during the protocol's opening phase (e.g. round 0) and
+/// recovers — the schedule that makes stable-vector views genuinely differ
+/// while keeping everyone participating afterwards.
 class PhasedLagDelay final : public DelayModel {
  public:
   PhasedLagDelay(std::unique_ptr<DelayModel> base, std::set<ProcessId> lagged,

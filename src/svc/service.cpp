@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <exception>
 #include <filesystem>
@@ -20,10 +19,6 @@ namespace {
 
 std::size_t resolve_shards(std::size_t configured) {
   if (configured > 0) return configured;
-  if (const char* env = std::getenv("CHC_SVC_SHARDS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
 }

@@ -64,8 +64,7 @@ struct InstanceResult {
 };
 
 struct ServiceConfig {
-  /// Worker shard count; 0 means CHC_SVC_SHARDS (env), falling back to
-  /// hardware_concurrency (at least 1).
+  /// Worker shard count; 0 means hardware_concurrency (at least 1).
   std::size_t shards = 0;
   /// Bounded per-shard FIFO run-queue capacity (backpressure threshold).
   std::size_t queue_capacity = 64;

@@ -46,7 +46,7 @@ bool FaultyTransport::send(NodeId to, const WireFrame& frame) {
   if (cp.reorder_rate > 0.0 && rng_.bernoulli(cp.reorder_rate)) {
     // Park the frame; frames sent meanwhile overtake it.
     const double extra =
-        rng_.uniform(cp.reorder_delay_min, cp.reorder_delay_max);
+        rng_.uniform(net::kReorderDelayMin, net::kReorderDelayMax);
     Held h;
     h.due_wall = wall_now() + extra * time_scale_;
     h.seq = next_seq_++;
@@ -106,8 +106,6 @@ void append_channel(std::ostringstream& out, const net::ChannelPolicy& cp) {
   append_f(out, cp.drop_rate);
   append_f(out, cp.dup_rate);
   append_f(out, cp.reorder_rate);
-  append_f(out, cp.reorder_delay_min);
-  append_f(out, cp.reorder_delay_max);
 }
 
 bool read_f(std::istringstream& in, double& v) {
@@ -115,13 +113,11 @@ bool read_f(std::istringstream& in, double& v) {
 }
 
 bool read_channel(std::istringstream& in, net::ChannelPolicy& cp) {
-  double drop = 0, dup = 0, reorder = 0, dmin = 0, dmax = 0;
-  if (!read_f(in, drop) || !read_f(in, dup) || !read_f(in, reorder) ||
-      !read_f(in, dmin) || !read_f(in, dmax)) {
+  double drop = 0, dup = 0, reorder = 0;
+  if (!read_f(in, drop) || !read_f(in, dup) || !read_f(in, reorder)) {
     return false;
   }
-  if (!(dmin > 0.0) || dmin > dmax) return false;
-  cp = net::ChannelPolicy(drop, dup, reorder, dmin, dmax);
+  cp = net::ChannelPolicy(drop, dup, reorder);
   return true;
 }
 
@@ -205,8 +201,6 @@ std::vector<obs::HeaderPolicyPhase> to_header_phases(
     hp.drop = ph.policy.link.drop_rate;
     hp.dup = ph.policy.link.dup_rate;
     hp.reorder = ph.policy.link.reorder_rate;
-    hp.rmin = ph.policy.link.reorder_delay_min;
-    hp.rmax = ph.policy.link.reorder_delay_max;
     for (const auto& [chan, cp] : ph.policy.overrides) {
       obs::HeaderChannelOverride co;
       co.from = chan.first;
@@ -214,8 +208,6 @@ std::vector<obs::HeaderPolicyPhase> to_header_phases(
       co.drop = cp.drop_rate;
       co.dup = cp.dup_rate;
       co.reorder = cp.reorder_rate;
-      co.rmin = cp.reorder_delay_min;
-      co.rmax = cp.reorder_delay_max;
       hp.overrides.push_back(co);
     }
     out.push_back(std::move(hp));

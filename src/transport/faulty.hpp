@@ -101,8 +101,8 @@ class FaultyTransport final : public Transport {
 /// RPC verb from chc_cluster to every chc_node:
 ///
 ///   seed <u64> scale <f> anchor <f> phases <k>
-///     { at <t> link <drop> <dup> <reorder> <dmin> <dmax> ovr <m>
-///         { <from> <to> <drop> <dup> <reorder> <dmin> <dmax> }*m }*k
+///     { at <t> link <drop> <dup> <reorder> ovr <m>
+///         { <from> <to> <drop> <dup> <reorder> }*m }*k
 struct NemesisSpec {
   net::PolicySchedule schedule;
   std::uint64_t seed = 0;

@@ -25,7 +25,7 @@ double mono_now() {
 }  // namespace
 
 net::ReliableParams live_reliable_params() {
-  net::ReliableParams p;  // sim-calibrated rto/backoff/jitter
+  net::ReliableParams p;
   // A restarting peer is gone for wall seconds (hundreds of model units at
   // the default time scale); keep retransmitting well past that so the
   // channel is still alive when the new incarnation's HELLO lands.
@@ -232,10 +232,7 @@ void NodeRuntime::start_instance(const InstanceSpec& spec) {
     h.perspective = static_cast<std::int64_t>(cfg_.id);
     h.seed = spec.seed;
     h.reliable = true;
-    h.rto = cfg_.rel.rto;
-    h.backoff = cfg_.rel.backoff;
     h.rto_max = cfg_.rel.rto_max;
-    h.jitter = cfg_.rel.jitter;
     h.max_retries = cfg_.rel.max_retries;
     h.clock_rate = cfg_.clock_rate;
     h.phases = nemesis_phases_;
@@ -260,10 +257,6 @@ void NodeRuntime::start_instance(const InstanceSpec& spec) {
     pending_frames_ -= parked.size();
     for (auto& [from, frame] : parked) dispatch(ref, from, frame);
   }
-}
-
-bool NodeRuntime::has_instance(std::uint64_t id) const {
-  return instances_.find(id) != instances_.end();
 }
 
 NodeRuntime::InstanceStatus NodeRuntime::status(std::uint64_t id) const {

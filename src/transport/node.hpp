@@ -52,10 +52,11 @@
 
 namespace chc::transport {
 
-/// Reliable-shim parameters tuned for a live cluster: same shape as the
-/// sim defaults but with a deeper retry budget — a restarting peer can be
-/// gone for seconds of wall time, and a live node should keep trying until
-/// the controller declares it dead rather than give up first.
+/// Reliable-shim limits tuned for a live cluster: the sim's RTO schedule
+/// (net::kRto, kBackoff, kJitter) with a higher ceiling and a deeper retry
+/// budget — a restarting peer can be gone for seconds of wall time, and a
+/// live node should keep trying until the controller declares it dead
+/// rather than give up first.
 net::ReliableParams live_reliable_params();
 
 /// TraceSink writing each record with a single write(2) call, so a killed
@@ -117,8 +118,6 @@ class NodeRuntime {
   /// no-op — the controller re-submits after restarting a node). Frames
   /// that arrived for the instance before it started are replayed into it.
   void start_instance(const InstanceSpec& spec);
-
-  bool has_instance(std::uint64_t id) const;
 
   struct InstanceStatus {
     bool known = false;

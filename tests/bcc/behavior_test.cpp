@@ -7,6 +7,7 @@
 #include <any>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -139,10 +140,13 @@ TEST(Behavior, EquivocatorCannotSplitSlotBroadcast) {
         make_behavior({BehaviorKind::kEquivocate, 0}, n, 1, 3, nullptr)));
     EXPECT_TRUE(sim.run().quiescent);
 
-    std::set<rbc::Bytes> byz_values;
+    // Distinct values, counted as strings as SlotBroadcast keys them.
+    std::set<std::string> byz_values;
     for (const SlotHost* h : honest) {
       for (const rbc::SlotMsg& m : h->delivered()) {
-        if (m.origin == 3) byz_values.insert(m.bytes);
+        if (m.origin == 3) {
+          byz_values.insert(std::string(m.bytes.begin(), m.bytes.end()));
+        }
         // Integrity for honest origins: exactly the broadcast byte.
         if (m.origin < 3) {
           EXPECT_EQ(m.bytes, rbc::Bytes{std::uint8_t(m.origin)})

@@ -9,6 +9,7 @@
 
 #include "bcc/harness.hpp"
 #include "core/replay.hpp"
+#include "net/policy.hpp"
 #include "obs/checker.hpp"
 #include "obs/trace.hpp"
 
@@ -103,15 +104,10 @@ TEST(BccReplay, RejectsHeaderValuesARunWouldRefuse) {
       {"correct_inputs_model",
        [](obs::TraceHeader& h) { h.correct_inputs_model = true; }},
       {"drop", [](obs::TraceHeader& h) { h.drop = 1.0; }},
-      {"reorder_delay_min",
-       [](obs::TraceHeader& h) {
-         h.reorder = 0.1;
-         h.reorder_delay_min = -1.0;
-       }},
-      {"rto",
+      {"rto_max",
        [](obs::TraceHeader& h) {
          h.reliable = true;
-         h.rto = -1.0;
+         h.rto_max = net::kRto / 2;
        }},
   };
   const std::vector<std::string> lines = traced_byz_run(small_run(5));

@@ -14,7 +14,6 @@ namespace {
 TEST(Codec, VecRoundTrip) {
   const geo::Vec v{1.5, -2.25, 1e-300, 1e300, 0.0};
   const auto buf = encode(v);
-  EXPECT_EQ(buf.size(), encoded_size(v));
   const auto back = decode_vec(buf);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(approx_eq(*back, v, 0.0));  // bit-exact
@@ -36,7 +35,6 @@ TEST(Codec, PolytopeRoundTrip) {
   const auto p = geo::Polytope::from_points(
       {geo::Vec{0, 0}, geo::Vec{1, 0}, geo::Vec{1, 1}, geo::Vec{0, 1}});
   const auto buf = encode(p);
-  EXPECT_EQ(buf.size(), encoded_size(p));
   const auto back = decode_polytope(buf);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(geo::approx_equal(*back, p, 1e-12));
@@ -60,7 +58,6 @@ TEST(Codec, ViewRoundTrip) {
   view[1] = geo::Vec{3.5, -1.0};
   view[3] = geo::Vec{0.0, 0.0};
   const auto buf = encode(view);
-  EXPECT_EQ(buf.size(), encoded_size(view));
   const auto back = decode_view(buf);
   ASSERT_TRUE(back.has_value());
   ASSERT_EQ(back->size(), 4u);
@@ -139,7 +136,6 @@ TEST(Codec, RelFrameRoundTrip) {
   f.dst_epoch = 5;
   f.inner = encode(geo::Vec{1.0, -2.5});
   const auto buf = encode(f);
-  EXPECT_EQ(buf.size(), encoded_size(f));
   const auto back = decode_rel_frame(buf);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->seq, f.seq);

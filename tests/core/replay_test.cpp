@@ -9,6 +9,7 @@
 #include "core/lossy.hpp"
 #include "core/replay.hpp"
 #include "core/workload.hpp"
+#include "net/policy.hpp"
 #include "obs/trace.hpp"
 
 namespace chc::core {
@@ -117,20 +118,10 @@ TEST(Replay, RejectsHeaderValuesARunWouldRefuse) {
       {"f", [](obs::TraceHeader& h) { h.f = 3; }},
       {"drop", [](obs::TraceHeader& h) { h.drop = 1.0; }},
       {"drop", [](obs::TraceHeader& h) { h.drop = 2.0; }},
-      {"reorder_delay_min",
-       [](obs::TraceHeader& h) {
-         h.reorder = 0.1;
-         h.reorder_delay_min = -1.0;
-       }},
-      {"rto",
+      {"rto_max",
        [](obs::TraceHeader& h) {
          h.reliable = true;
-         h.rto = -1.0;
-       }},
-      {"jitter",
-       [](obs::TraceHeader& h) {
-         h.reliable = true;
-         h.jitter = 1.5;
+         h.rto_max = net::kRto / 2;
        }},
   };
   const auto lines = record(base_config(37));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -170,9 +171,10 @@ TEST(StableVector, SlowProcessStillIncluded) {
   // A lagged (but correct) process must eventually finish and its view must
   // contain its own input; others may or may not include it.
   const std::size_t n = 5, f = 1;
-  auto delay = std::make_unique<sim::LaggedSetDelay>(
+  auto delay = std::make_unique<sim::PhasedLagDelay>(
       std::make_unique<sim::UniformDelay>(0.1, 1.0),
-      std::set<sim::ProcessId>{4}, 40.0);
+      std::set<sim::ProcessId>{4}, 40.0,
+      /*until=*/std::numeric_limits<sim::Time>::infinity());
   const auto run = run_stable_vector(n, f, {}, 17, std::move(delay));
   expect_liveness_and_containment(run, n, f);
   ASSERT_TRUE(run.results[4].has_value());

@@ -109,11 +109,25 @@ TEST(TraceHeader, RoundTrips) {
   h.seed = 0xDEADBEEFCAFEF00Dull;  // beyond 2^53: must survive as u64
   h.drop = 0.25;
   h.reliable = true;
+  h.rto_max = 50.0;
   h.max_retries = 7;
+  h.overrides = {{.from = 0, .to = 1, .drop = 0.5, .dup = 0.0, .reorder = 0.1}};
+  HeaderPolicyPhase cut;
+  cut.at = 3.0;
+  cut.drop = 0.25;
+  cut.overrides = {{.from = 2, .to = 3, .drop = 1.0}};
+  h.phases = {HeaderPolicyPhase{}, cut};
   h.faulty = {4};
   h.inputs = {{0.1, 0.2}, {0.3, 0.4}, {-0.5, 0.0}, {1.0, -1.0}, {9.0, 9.0}};
 
   const std::string line = to_jsonl(h);
+  // The shim's RTO schedule and the links' reorder-delay range are
+  // constants (net/policy.hpp), not header fields.
+  for (const char* key : {"\"rto\"", "\"backoff\"", "\"jitter\"",
+                          "\"reorder_delay_min\"", "\"reorder_delay_max\"",
+                          "\"rmin\"", "\"rmax\""}) {
+    EXPECT_EQ(line.find(key), std::string::npos) << key;
+  }
   TraceHeader back;
   std::string error;
   ASSERT_TRUE(parse_header(line, back, &error)) << error;
@@ -132,10 +146,62 @@ TEST(TraceHeader, RoundTrips) {
   EXPECT_EQ(back.seed, h.seed);
   EXPECT_EQ(back.drop, h.drop);
   EXPECT_EQ(back.reliable, h.reliable);
+  EXPECT_EQ(back.rto_max, h.rto_max);
   EXPECT_EQ(back.max_retries, h.max_retries);
+  ASSERT_EQ(back.overrides.size(), 1u);
+  EXPECT_EQ(back.overrides[0].reorder, 0.1);
+  ASSERT_EQ(back.phases.size(), 2u);
+  EXPECT_EQ(back.phases[1].at, 3.0);
+  ASSERT_EQ(back.phases[1].overrides.size(), 1u);
+  EXPECT_EQ(back.phases[1].overrides[0].drop, 1.0);
   EXPECT_EQ(back.faulty, h.faulty);
   EXPECT_EQ(back.inputs, h.inputs);
   EXPECT_EQ(to_jsonl(back), line);
+}
+
+TEST(TraceHeader, OlderHeaderWithNetworkConstantsStillParses) {
+  // Headers written while the RTO schedule and the reorder-delay range were
+  // fields carry them at top level and in every override and phase. The
+  // reader ignores those keys, and the writer emits the header without
+  // them.
+  const std::string old_line =
+      R"({"kind":"header","version":1,"env":"sim","n":3,"f":0,"d":1,)"
+      R"("eps":0.1,"input_magnitude":1,"rel_tol":1e-09,)"
+      R"("round0_naive":false,"correct_inputs_model":false,"t_end":9,)"
+      R"("pattern":0,"crash_style":0,"delay":0,"seed":7,"drop":0.1,)"
+      R"("dup":0,"reorder":0.2,"reorder_delay_min":0.5,)"
+      R"("reorder_delay_max":3,"reliable":true,"rto":3,"backoff":2,)"
+      R"("rto_max":20,"jitter":0.25,"max_retries":15,)"
+      R"("max_events":50000000,"overrides":[{"from":0,"to":1,"drop":0.5,)"
+      R"("dup":0,"reorder":0,"rmin":0.5,"rmax":3}],"phases":[{"at":0,)"
+      R"("drop":0,"dup":0,"reorder":0,"rmin":0.5,"rmax":3},{"at":4,)"
+      R"("drop":0,"dup":0,"reorder":0,"rmin":0.5,"rmax":3,"overrides":)"
+      R"([{"from":1,"to":2,"drop":1,"dup":0,"reorder":0,"rmin":0.5,)"
+      R"("rmax":3}]}],"faulty":[],"inputs":[[0.5],[-0.25],[1]]})";
+  TraceHeader h;
+  std::string error;
+  ASSERT_TRUE(parse_header(old_line, h, &error)) << error;
+  EXPECT_EQ(h.n, 3u);
+  EXPECT_EQ(h.reorder, 0.2);
+  EXPECT_TRUE(h.reliable);
+  EXPECT_EQ(h.rto_max, 20.0);
+  ASSERT_EQ(h.overrides.size(), 1u);
+  EXPECT_EQ(h.overrides[0].drop, 0.5);
+  ASSERT_EQ(h.phases.size(), 2u);
+  ASSERT_EQ(h.phases[1].overrides.size(), 1u);
+  EXPECT_EQ(h.phases[1].overrides[0].drop, 1.0);
+  EXPECT_EQ(to_jsonl(h),
+            R"({"kind":"header","version":1,"env":"sim","n":3,"f":0,"d":1,)"
+            R"("eps":0.1,"input_magnitude":1,"rel_tol":1e-09,)"
+            R"("round0_naive":false,"correct_inputs_model":false,)"
+            R"("t_end":9,"pattern":0,"crash_style":0,"delay":0,"seed":7,)"
+            R"("drop":0.1,"dup":0,"reorder":0.2,"reliable":true,)"
+            R"("rto_max":20,"max_retries":15,"max_events":50000000,)"
+            R"("overrides":[{"from":0,"to":1,"drop":0.5,"dup":0,)"
+            R"("reorder":0}],"phases":[{"at":0,"drop":0,"dup":0,)"
+            R"("reorder":0},{"at":4,"drop":0,"dup":0,"reorder":0,)"
+            R"("overrides":[{"from":1,"to":2,"drop":1,"dup":0,)"
+            R"("reorder":0}]}],"faulty":[],"inputs":[[0.5],[-0.25],[1]]})");
 }
 
 TEST(TraceFooter, RoundTrips) {

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -122,12 +123,14 @@ struct FuzzOutcome {
 void check_agreement_and_integrity(const std::vector<Host*>& honest,
                                    std::size_t n_slots_per_honest,
                                    std::uint64_t seed) {
-  // Agreement + totality per (origin, slot) across correct processes.
-  std::map<std::pair<sim::ProcessId, std::uint32_t>, std::set<Bytes>> seen;
+  // Agreement + totality per (origin, slot) across correct processes. The
+  // distinct values are counted as strings, as SlotBroadcast keys them.
+  std::map<std::pair<sim::ProcessId, std::uint32_t>, std::set<std::string>>
+      seen;
   std::map<std::pair<sim::ProcessId, std::uint32_t>, std::size_t> count;
   for (const Host* h : honest) {
     for (const auto& [key, bytes] : h->delivered()) {
-      seen[key].insert(bytes);
+      seen[key].insert(std::string(bytes.begin(), bytes.end()));
       ++count[key];
     }
   }

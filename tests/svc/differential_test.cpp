@@ -159,7 +159,9 @@ TEST_P(DifferentialTest, BatchedMatchesSoloBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Dims, DifferentialTest, ::testing::Values(1u, 2u, 3u),
                          [](const auto& info) {
-                           return "d" + std::to_string(info.param);
+                           std::string name = "d";
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -5,9 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/lossy.hpp"
@@ -27,8 +28,7 @@ InstanceSpec quick_spec(std::uint64_t id, std::uint64_t seed) {
   return spec;
 }
 
-TEST(Service, ExplicitShardCountWinsOverEnvironment) {
-  setenv("CHC_SVC_SHARDS", "3", 1);
+TEST(Service, ZeroShardsMeansHardwareConcurrency) {
   {
     ServiceConfig cfg;
     cfg.shards = 2;
@@ -36,10 +36,10 @@ TEST(Service, ExplicitShardCountWinsOverEnvironment) {
     EXPECT_EQ(service.shards(), 2u);
   }
   {
-    ConsensusService service(ServiceConfig{});  // shards = 0: env decides
-    EXPECT_EQ(service.shards(), 3u);
+    ConsensusService service(ServiceConfig{});  // shards = 0
+    EXPECT_EQ(service.shards(),
+              std::max(1u, std::thread::hardware_concurrency()));
   }
-  unsetenv("CHC_SVC_SHARDS");
 }
 
 TEST(Service, ResultsAreTaggedAndSortedById) {

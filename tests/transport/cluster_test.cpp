@@ -10,6 +10,7 @@
 #include <chrono>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -137,8 +138,10 @@ TEST(Rpc, LineServerAnswersConcurrentClients) {
       LineClient cl;
       if (!cl.connect_to("127.0.0.1", server.port(), 2000)) return;
       for (int i = 0; i < 25; ++i) {
-        const std::string msg =
-            "c" + std::to_string(c) + "m" + std::to_string(i);
+        std::string msg = "c";
+        msg += std::to_string(c);
+        msg += 'm';
+        msg += std::to_string(i);
         const auto resp = cl.request(msg, 2000);
         if (resp && *resp == "echo:" + msg) ok.fetch_add(1);
       }

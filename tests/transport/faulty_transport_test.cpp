@@ -176,7 +176,7 @@ NemesisSpec sample_spec() {
   spec.time_scale = 0.02;
   net::NetworkPolicy cut = net::NetworkPolicy::lossy(0.1, 0.05, 0.2);
   cut.set_channel(0, 3, net::ChannelPolicy(1.0, 0.0, 0.0));
-  cut.set_channel(3, 0, net::ChannelPolicy(1.0, 0.0, 0.0, 0.25, 4.0));
+  cut.set_channel(3, 0, net::ChannelPolicy(1.0, 0.0, 0.3));
   spec.schedule.add(0.0, cut);
   spec.schedule.add(40.0, net::NetworkPolicy::lossy(0.1, 0.05, 0.2));
   return spec;
@@ -202,8 +202,7 @@ TEST(NemesisSpec, EncodeParseRoundTrip) {
   }
   const auto& ovr = parsed->schedule.phases()[0].policy.for_channel(3, 0);
   EXPECT_DOUBLE_EQ(ovr.drop_rate, 1.0);
-  EXPECT_DOUBLE_EQ(ovr.reorder_delay_min, 0.25);
-  EXPECT_DOUBLE_EQ(ovr.reorder_delay_max, 4.0);
+  EXPECT_DOUBLE_EQ(ovr.reorder_rate, 0.3);
 }
 
 TEST(NemesisSpec, ReEncodeIsStable) {
@@ -234,16 +233,23 @@ TEST(NemesisSpec, RejectsMalformedInput) {
   EXPECT_FALSE(
       parse_nemesis_spec("seed 1 scale -1 anchor 0 phases 0").has_value());
   // First phase must start at 0; times must ascend.
+  EXPECT_TRUE(parse_nemesis_spec("seed 1 scale 1 anchor 0 phases 1 "
+                                 "at 0 link 0 0 0 ovr 0")
+                  .has_value());
   EXPECT_FALSE(parse_nemesis_spec("seed 1 scale 1 anchor 0 phases 1 "
-                                  "at 5 link 0 0 0 0.5 3 ovr 0")
+                                  "at 5 link 0 0 0 ovr 0")
                    .has_value());
   EXPECT_FALSE(parse_nemesis_spec("seed 1 scale 1 anchor 0 phases 2 "
-                                  "at 0 link 0 0 0 0.5 3 ovr 0 "
+                                  "at 0 link 0 0 0 ovr 0 "
+                                  "at 0 link 0 0 0 ovr 0")
+                   .has_value());
+  // A channel is exactly three rates: five numbers (a reorder-delay range
+  // after them) are malformed, in a link class and in an override.
+  EXPECT_FALSE(parse_nemesis_spec("seed 1 scale 1 anchor 0 phases 1 "
                                   "at 0 link 0 0 0 0.5 3 ovr 0")
                    .has_value());
-  // Bad reorder-delay range inside a channel.
   EXPECT_FALSE(parse_nemesis_spec("seed 1 scale 1 anchor 0 phases 1 "
-                                  "at 0 link 0 0 0 3 0.5 ovr 0")
+                                  "at 0 link 0 0 0 ovr 1 0 1 1 0 0 0.5 3")
                    .has_value());
 }
 

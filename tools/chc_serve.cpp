@@ -73,7 +73,7 @@ svc::InstanceSpec make_spec(const std::string& preset, std::uint64_t i,
 
 int main(int argc, char** argv) {
   std::size_t instances = 16;
-  std::size_t shards = 0;  // 0: CHC_SVC_SHARDS env, then hardware_concurrency
+  std::size_t shards = 0;  // 0: hardware_concurrency
   std::size_t queue = 64;
   std::uint64_t seed_base = 1;
   std::string preset = "mixed";

@@ -447,6 +447,16 @@ TEST(DelayModels, RangesRespected) {
   }
 }
 
+TEST(DelayModels, LaggedSetMultiplies) {
+  // A window that never ends lags the set for good.
+  Rng rng(2);
+  PhasedLagDelay lag(std::make_unique<FixedDelay>(1.0), {2}, 50.0,
+                     std::numeric_limits<Time>::infinity());
+  EXPECT_DOUBLE_EQ(lag.delay(0, 1, 0.0, rng), 1.0);
+  EXPECT_DOUBLE_EQ(lag.delay(2, 1, 0.0, rng), 50.0);  // from lagged
+  EXPECT_DOUBLE_EQ(lag.delay(0, 2, 1e9, rng), 50.0);  // to lagged
+}
+
 TEST(DelayModels, PhasedLagExpiresAfterWindow) {
   Rng rng(3);
   PhasedLagDelay lag(std::make_unique<FixedDelay>(1.0), {1}, 10.0,
@@ -455,19 +465,10 @@ TEST(DelayModels, PhasedLagExpiresAfterWindow) {
   EXPECT_DOUBLE_EQ(lag.delay(0, 1, 4.9, rng), 10.0);   // to lagged, in window
   EXPECT_DOUBLE_EQ(lag.delay(1, 0, 5.0, rng), 1.0);    // window over
   EXPECT_DOUBLE_EQ(lag.delay(0, 2, 0.0, rng), 1.0);    // not lagged
-  // A window that never ends lags the set for good.
-  PhasedLagDelay forever(std::make_unique<FixedDelay>(1.0), {2}, 50.0,
-                         std::numeric_limits<Time>::infinity());
-  EXPECT_DOUBLE_EQ(forever.delay(0, 1, 0.0, rng), 1.0);
-  EXPECT_DOUBLE_EQ(forever.delay(2, 1, 0.0, rng), 50.0);   // from lagged
-  EXPECT_DOUBLE_EQ(forever.delay(0, 2, 1e9, rng), 50.0);   // to lagged
   EXPECT_THROW(PhasedLagDelay(nullptr, {}, 2.0, 1.0), ContractViolation);
   EXPECT_THROW(
       PhasedLagDelay(std::make_unique<FixedDelay>(1.0), {}, 2.0, 0.0),
       ContractViolation);
-  EXPECT_THROW(
-      PhasedLagDelay(std::make_unique<FixedDelay>(1.0), {}, 0.5, 1.0),
-      ContractViolation);  // a lag factor below 1 would speed messages up
 }
 
 TEST(DelayModels, InvalidParamsRejected) {
@@ -475,6 +476,9 @@ TEST(DelayModels, InvalidParamsRejected) {
   EXPECT_THROW(UniformDelay(0.0, 1.0), ContractViolation);
   EXPECT_THROW(UniformDelay(2.0, 1.0), ContractViolation);
   EXPECT_THROW(ExponentialDelay(-1.0), ContractViolation);
+  EXPECT_THROW(
+      PhasedLagDelay(std::make_unique<FixedDelay>(1.0), {}, 0.5, 1.0),
+      ContractViolation);  // a lag factor below 1 would speed messages up
 }
 
 }  // namespace
